@@ -230,13 +230,16 @@ def cmd_plan(spec: RunSpec, out: Path) -> int:
         s_star, predicted = 0, 0.5 * spec.family.dim / spec.n0
     else:
         gram = offset_gram(spec.fisher(), spec.theta0, spec.source_thetas)
-        problem = TransferProblem(
-            n0=spec.n0,
-            dim=spec.family.dim,
-            caps=np.array(spec.source_caps),
-            gram=gram.matrix,
-            step_number=spec.step_number,
-        )
+        try:
+            problem = TransferProblem(
+                n0=spec.n0,
+                dim=spec.family.dim,
+                caps=np.array(spec.source_caps),
+                gram=gram.matrix,
+                step_number=spec.step_number,
+            )
+        except ValueError as exc:  # e.g. thetas so far apart that the Gram overflows
+            raise ConfigError("sources", f"unusable Gram matrix of the offsets: {exc}") from None
         plan = plan_transfer(problem)
         s_star, predicted = plan.s_star, plan.predicted_proxy
         for name, cap, alpha, n in zip(
@@ -290,10 +293,14 @@ def cmd_verify(spec: RunSpec, out: Path, workers: int) -> int:
     z_threshold = _as_number(cfg.get("z_threshold", 3.0), "verify.z_threshold", 0.0, strict=True)
     min_pass = _as_number(cfg.get("min_pass_fraction", 0.95), "verify.min_pass_fraction", 0.0)
 
-    result = sweep_n1(
-        spec.family, spec.theta0, spec.source_thetas[0], spec.n0,
-        spec.source_caps[0], grid_step, spec.trials, spec.seed, workers,
-    )
+    try:
+        result = sweep_n1(
+            spec.family, spec.theta0, spec.source_thetas[0], spec.n0,
+            spec.source_caps[0], grid_step, spec.trials, spec.seed, workers,
+        )
+    except FisherUnavailableError as exc:
+        raise ConfigError("family.kind",
+                          f"verify needs a closed-form Fisher information ({exc})") from None
     rows = []
     z_values = []
     for quantity, report, theory in zip(

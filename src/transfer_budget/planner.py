@@ -10,6 +10,10 @@ single source's discrepancy, or ``alpha^T M alpha / dim`` for a mix of
 sources). The single-source minimizer has a closed form with two regimes split
 at ``n0 * t = 0.5``; the multi-source problem is solved by a grid over the
 total quantity with a capped-simplex quadratic program at each grid point.
+Those programs are solved exactly, with no tolerance-based stop: their
+optimum is piecewise affine in ``1/s``, so one warm-started active-set sweep
+over the grid finds each piece's optimal face and evaluates the piece's
+closed form at all of its grid points at once.
 """
 
 from __future__ import annotations
@@ -37,9 +41,12 @@ __all__ = [
     "regime_curve",
 ]
 
-QP_TOL = 1e-12
-QP_MAX_ITER = 10_000
-_BISECT_ITERS = 64
+#: Floor of the QP solver's sign tests, on the Gram scaled to largest entry
+#: one: a bound or a multiplier counts as violated only below ``-_SIGN_FLOOR``,
+#: so roundoff in the KKT solves neither ends a sweep piece nor releases a bound.
+_SIGN_FLOOR = 1e-13
+#: Iteration bound of one active-set solve, per source; reaching it raises.
+_ACTIVE_SET_ITERS_PER_SOURCE = 10
 
 
 class FeasibilityError(ValueError):
@@ -154,6 +161,8 @@ class TransferProblem:
             raise ValueError("need at least one source with a positive cap")
         if self.gram.shape != (k, k):
             raise ValueError(f"gram must be {k} x {k} to match the caps")
+        if not np.isfinite(self.gram).all():
+            raise ValueError("gram matrix must be finite")
         if not np.allclose(self.gram, self.gram.T, atol=1e-10):
             raise ValueError("gram matrix must be symmetric")
         scale = max(1.0, float(np.abs(self.gram).max()))
@@ -182,24 +191,24 @@ def proxy_multi(problem: TransferProblem, s: int, alpha) -> float:
     return float(proxy_value(problem.n0, s, t, problem.dim))
 
 
-def _project_capped_batch(y: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto {x : 0 <= x <= upper, sum x = 1}.
+def _capped_shift(y: np.ndarray, upper: np.ndarray) -> float:
+    """The shift ``tau`` with ``sum(clip(y - tau, 0, upper)) == 1``.
 
-    The projection is ``clip(y - lam, 0, upper)`` for the row's shift
-    multiplier ``lam``; the row sum is nonincreasing in ``lam``, so ``lam`` is
-    found by bisection between a bound clamping everything at the caps and one
-    zeroing everything out.
+    The sum is piecewise linear and nonincreasing in ``tau``, with breakpoints
+    at ``y - upper`` (an entry leaves its cap) and ``y`` (an entry reaches
+    zero). A breakpoint search (Kiwiel 2008; sorted here rather than
+    median-selected) finds the last breakpoint where the sum is still at
+    least one and solves the linear piece that follows it exactly.
     """
-    lo = (y - upper).min(axis=1)
-    hi = y.max(axis=1)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        total = np.clip(y - mid[:, None], 0.0, upper).sum(axis=1)
-        above = total > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    lam = 0.5 * (lo + hi)
-    return np.clip(y - lam[:, None], 0.0, upper)
+    points = np.unique(np.concatenate((y - upper, y)))
+    sums = np.clip(y - points[:, None], 0.0, upper).sum(axis=1)  # nonincreasing
+    k = max(int(np.searchsorted(-sums, -1.0, side="right")) - 1, 0)
+    if sums[k] == 1.0:
+        return float(points[k])
+    mid = 0.5 * (points[k] + points[k + 1])
+    at_cap = y - upper >= mid
+    free = ~at_cap & (y > mid)
+    return float((upper[at_cap].sum() + y[free].sum() - 1.0) / free.sum())
 
 
 def project_capped_simplex(y, upper) -> np.ndarray:
@@ -208,66 +217,155 @@ def project_capped_simplex(y, upper) -> np.ndarray:
     upper = np.asarray(upper, dtype=np.float64)
     if upper.sum() < 1.0 - 1e-9:
         raise FeasibilityError("caps sum to less than one; the set is empty")
-    return _project_capped_batch(y[None, :], np.minimum(upper, 1.0)[None, :])[0]
+    upper = np.minimum(upper, 1.0)
+    return np.clip(y - _capped_shift(y, upper), 0.0, upper)
 
 
-def _qp_descent(m: np.ndarray, alpha: np.ndarray, upper: np.ndarray,
-                tol: float, max_iter: int) -> np.ndarray:
-    """Projected gradient descent on ``alpha^T m alpha`` over capped simplices.
+def _face_solution(m: np.ndarray, free: np.ndarray, at_cap: np.ndarray, caps: np.ndarray):
+    """KKT point of one face as affine functions of ``1/s``.
 
-    Runs all rows of ``alpha`` in lockstep with an exact line search along
-    each projected-gradient direction; a row leaves the active set once its
-    objective improves by less than ``tol``.
+    On the face, the free entries F minimize the objective with the at-cap
+    entries U held at ``caps/s`` and the rest at zero. Stationarity
+    ``M_FF alpha_F + M_FU caps_U / s = lam`` and ``sum alpha_F = 1 - sum caps_U / s``
+    form one bordered system ``[[M_FF, 1], [1^T, 0]]`` with two right-hand
+    sides, whose solution gives ``alpha = a + b/s`` and ``lam = c + d/s``.
+    The least-squares (minimum-norm) solution is taken: for a PSD Gram the
+    system is consistent, because ``M_FU caps_U`` lies in the range of
+    ``M_FF``, so on a singular face it is still a minimizer, and a zero Gram
+    gets uniform weights over the free entries.
     """
-    lam_max = float(np.linalg.eigvalsh(m)[-1])
-    if lam_max <= 0.0:
-        return alpha  # flat objective: the initial feasible point is optimal
-    eta = 1.0 / (2.0 * lam_max)
-    obj = np.einsum("gi,ij,gj->g", alpha, m, alpha)
-    active = np.arange(alpha.shape[0])
-    for _ in range(max_iter):
-        a = alpha[active]
-        grad = 2.0 * a @ m
-        direction = _project_capped_batch(a - eta * grad, upper[active]) - a
-        curv = np.einsum("gi,ij,gj->g", direction, m, direction)
-        slope = np.einsum("gi,gi->g", grad, direction)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = np.where(curv > 0.0, -0.5 * slope / np.maximum(curv, 1e-300), 1.0)
-        gamma = np.clip(gamma, 0.0, 1.0)
-        a_new = a + gamma[:, None] * direction
-        obj_new = np.einsum("gi,ij,gj->g", a_new, m, a_new)
-        alpha[active] = a_new
-        improved = obj[active] - obj_new
-        obj[active] = obj_new
-        active = active[improved >= tol]
-        if active.size == 0:
-            break
-    return alpha
+    f, u = np.flatnonzero(free), np.flatnonzero(at_cap)
+    n = f.size
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = m[np.ix_(f, f)]
+    kkt[n, n] = 0.0
+    rhs = np.zeros((n + 1, 2))
+    rhs[n, 0] = 1.0
+    rhs[:n, 1] = -m[np.ix_(f, u)] @ caps[u]
+    rhs[n, 1] = -caps[u].sum()
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    a = np.zeros(m.shape[0])
+    b = np.zeros(m.shape[0])
+    a[f], b[f] = sol[:n, 0], sol[:n, 1]
+    b[u] = caps[u]
+    return a, b, -sol[n, 0], -sol[n, 1]
 
 
-def _solve_qp_batch(m: np.ndarray, s_values: np.ndarray, caps: np.ndarray,
-                    tol: float = QP_TOL, max_iter: int = QP_MAX_ITER) -> np.ndarray:
-    """Solve the proportion QP for every total quantity in ``s_values`` at once.
+def _active_set(m: np.ndarray, alpha: np.ndarray, caps: np.ndarray, s: float):
+    """Primal active-set solve at one total ``s``, from a feasible ``alpha``.
 
-    Initialization: the cap-free simplex optimum (solved once; it does not
-    depend on ``s``), projected onto each row's capped simplex. Rows whose
-    caps are slack therefore converge immediately. The matrix is normalized by
-    its largest entry first so the improvement threshold, and therefore the
-    returned argmin, is invariant under positive rescaling of ``m``.
+    Iterates stay feasible: each step heads for the current face's minimizer
+    and stops at the first bound it would cross (a ratio test), which joins
+    the face; once the minimizer is reached, the most violated multiplier
+    releases its bound, one at a time. A cap enters the face only while
+    ``caps_i / s < 1``; a larger one is implied by the simplex, and holding it
+    would end a sweep piece at every grid point. Returns the optimal face
+    ``(free, at_cap)`` and its :func:`_face_solution`.
     """
     k = m.shape[0]
+    bounded = caps < s
+    upper = np.where(bounded, caps / s, np.inf)
+    at_cap = bounded & (alpha >= upper)
+    free = (alpha > 0.0) & ~at_cap
+    if not free.any():  # a vertex: the equality row needs one free entry
+        free[np.argmax(alpha)] = True
+        at_cap &= ~free
+    for _ in range(_ACTIVE_SET_ITERS_PER_SOURCE * k):
+        a, b, c, d = _face_solution(m, free, at_cap, caps)
+        step = np.where(free, a + b / s - alpha, 0.0)
+        if free.sum() > 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.where(free & (step < 0.0), alpha / -step, np.inf)
+                reach = np.minimum(reach, np.where(
+                    free & bounded & (step > 0.0), (upper - alpha) / step, np.inf))
+            i = int(np.argmin(reach))
+            if reach[i] < 1.0:
+                alpha = np.clip(alpha + reach[i] * step, 0.0, upper)
+                alpha[i] = 0.0 if step[i] < 0.0 else upper[i]
+                at_cap[i] = step[i] > 0.0
+                free[i] = False
+                continue
+        alpha = np.clip(alpha + step, 0.0, upper)
+        g = m @ alpha
+        lam = c + d / s
+        multiplier = np.where(free, np.inf, np.where(at_cap, lam - g, g - lam))
+        i = int(np.argmin(multiplier))
+        if multiplier[i] >= -_SIGN_FLOOR:
+            return free, at_cap, (a, b, c, d)
+        free[i], at_cap[i] = True, False
+    raise RuntimeError(f"active-set QP solve at s={s:g} did not finish in "
+                       f"{_ACTIVE_SET_ITERS_PER_SOURCE * k} iterations")
+
+
+def _piece_length(m: np.ndarray, free: np.ndarray, at_cap: np.ndarray, caps: np.ndarray,
+                  solution, s: np.ndarray) -> int:
+    """How many leading totals of ``s`` one face stays optimal for.
+
+    Every KKT condition on the face (bounds on the free entries, multiplier
+    signs on the others) is affine in ``1/s``, so the totals where all of
+    them hold form one run of the increasing grid. The first total is the one
+    the active-set solve certified and always counts; the rest are checked in
+    chunks of doubling length.
+    """
+    a, b, c, d = solution
+    zero = ~free & ~at_cap
+    ma, mb = m @ a, m @ b
+    end, chunk = 1, 8
+    while end < s.shape[0]:
+        t = s[end:end + chunk, None]
+        alpha = a[free] + b[free] / t
+        g = ma + mb / t
+        lam = c + d / t
+        ok = ((alpha >= -_SIGN_FLOOR) & (alpha <= caps[free] / t + _SIGN_FLOOR)).all(axis=1)
+        ok &= (g[:, zero] - lam >= -_SIGN_FLOOR).all(axis=1)
+        ok &= (lam - g[:, at_cap] >= -_SIGN_FLOOR).all(axis=1)
+        if not ok.all():
+            return end + int(np.argmin(ok))
+        end += t.shape[0]
+        chunk *= 2
+    return s.shape[0]
+
+
+def _solve_qp_batch(m: np.ndarray, s_values: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Solve the proportion QP exactly for every total in the increasing ``s_values``.
+
+    The caps ``caps/s`` move with the total, so the optimum is piecewise
+    affine in ``1/s`` (a parametric QP: Best 1996; Nocedal & Wright 2006,
+    ch. 16). The sweep runs in pieces: an active-set solve at a piece's first
+    total, warm-started from the previous piece's last optimum projected onto
+    the new caps, yields the optimal face; its KKT system gives the optimum as
+    ``a + b/s``, which is checked against the later totals in vectorized steps,
+    and the first total where a bound or multiplier sign fails starts the next
+    piece. The matrix is first scaled to largest entry one, so the sign
+    tests' fixed floor, and therefore the returned optimum, is invariant under
+    positive rescaling of ``m``.
+    """
     scale = float(np.abs(m).max())
     if scale > 0.0:
         m = m / scale
-    upper = np.minimum(caps[None, :].astype(np.float64) / s_values[:, None], 1.0)
-    uniform = np.full((1, k), 1.0 / k)
-    base = _qp_descent(m, uniform.copy(), np.ones((1, k)), tol, max_iter)[0]
-    alpha = _project_capped_batch(np.broadcast_to(base, upper.shape).copy(), upper)
-    return _qp_descent(m, alpha, upper, tol, max_iter)
+    eigenvalues, vectors = np.linalg.eigh(m)
+    if eigenvalues[0] < -_SIGN_FLOOR:
+        # TransferProblem admits eigenvalues down to -1e-8 of the scale; on a
+        # face with negative curvature the KKT point is not a minimizer, so the
+        # active set could cycle. Solve with the nearest PSD matrix instead.
+        m = (vectors * np.maximum(eigenvalues, 0.0)) @ vectors.T
+    caps = caps.astype(np.float64)
+    s = np.asarray(s_values, dtype=np.float64)
+    alphas = np.empty((s.shape[0], m.shape[0]))
+    alpha = np.full(m.shape[0], 1.0 / m.shape[0])
+    j = 0
+    while j < s.shape[0]:
+        start = project_capped_simplex(alpha, caps / s[j])
+        free, at_cap, solution = _active_set(m, start, caps, s[j])
+        end = j + _piece_length(m, free, at_cap, caps, solution, s[j:])
+        a, b = solution[:2]
+        alphas[j:end] = a + b / s[j:end, None]
+        alpha = alphas[end - 1]
+        j = end
+    return np.maximum(alphas, 0.0)
 
 
-def solve_alpha_qp(gram, s: int, caps, *, tol: float = QP_TOL,
-                   max_iter: int = QP_MAX_ITER) -> np.ndarray:
+def solve_alpha_qp(gram, s: int, caps) -> np.ndarray:
     """Minimize ``alpha^T gram alpha`` over the capped simplex for total ``s``.
 
     The feasible set is {alpha >= 0, sum alpha = 1, s * alpha_i <= caps_i};
@@ -283,8 +381,7 @@ def solve_alpha_qp(gram, s: int, caps, *, tol: float = QP_TOL,
         raise FeasibilityError(
             f"total quantity {s} exceeds the summed source caps {int(caps.sum())}"
         )
-    return _solve_qp_batch(gram, np.array([s], dtype=np.int64), caps,
-                           tol=tol, max_iter=max_iter)[0]
+    return _solve_qp_batch(gram, np.array([s], dtype=np.int64), caps)[0]
 
 
 def _apportion(s: int, alpha: np.ndarray, caps: np.ndarray) -> np.ndarray:

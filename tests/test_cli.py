@@ -62,6 +62,18 @@ class TestPlan:
         assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "sources[1].name" in capsys.readouterr().err
 
+    def test_overflowing_gram_rejected_with_field_path(self, tmp_path, capsys):
+        # offsets of +-1e308 square to inf in the Gram matrix
+        cfg = write_config(tmp_path, {
+            "family": {"kind": "gaussian"}, "n0": 100,
+            "sources": [{"name": "a", "theta": [1e308], "cap": 100},
+                        {"name": "b", "theta": [-1e308], "cap": 100}],
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["plan", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "config error at sources:" in capsys.readouterr().err
+
     def test_empirical_fisher_fallback_for_softmax(self, tmp_path):
         cfg = write_config(tmp_path, {
             "seed": 5,
@@ -139,6 +151,12 @@ class TestVerify:
         cfg = write_config(tmp_path, bad)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "trials" in capsys.readouterr().err
+
+    def test_family_without_closed_form_fisher_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(
+            self.CFG, trials=100, family={"kind": "softmax", "feature_dim": 2, "num_classes": 3}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error at family.kind:" in capsys.readouterr().err
 
     def test_impossible_gate_exits_four(self, tmp_path):
         # a z threshold nothing can meet forces the gate outcome

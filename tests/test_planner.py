@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transfer_budget import planner
 from transfer_budget.planner import (
     FeasibilityError,
     Regime,
@@ -175,6 +176,22 @@ class TestCappedSimplexProjection:
                 if (cand <= upper).all():
                     assert np.linalg.norm(cand - y) >= base - 1e-9
 
+    @pytest.mark.parametrize("y, upper, shift, projected", [
+        # the sum reaches one exactly at the breakpoint where the last entry hits zero
+        ([1.0, 0.5, 0.25], [1.0, 1.0, 1.0], 0.25, [0.75, 0.25, 0.0]),
+        # a point of the simplex projects to itself
+        ([0.2, 0.3, 0.5], [1.0, 1.0, 1.0], 0.0, [0.2, 0.3, 0.5]),
+        # one entry held at its cap, the others share the rest
+        ([2.0, 0.0, 0.0], [0.5, 1.0, 1.0], -0.25, [0.5, 0.25, 0.25]),
+        # one at its cap, one free, one at zero
+        ([3.0, 1.0, -1.0], [0.25, 1.0, 1.0], 0.25, [0.25, 0.75, 0.0]),
+        ([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], -0.25, [0.25, 0.25, 0.25, 0.25]),
+    ])
+    def test_breakpoint_shift_is_exact(self, y, upper, shift, projected):
+        y, upper = np.array(y), np.array(upper)
+        assert planner._capped_shift(y, upper) == shift
+        np.testing.assert_array_equal(project_capped_simplex(y, upper), projected)
+
     def test_empty_set_rejected(self):
         with pytest.raises(FeasibilityError):
             project_capped_simplex(np.array([0.5, 0.5]), np.array([0.3, 0.3]))
@@ -244,6 +261,227 @@ class TestAlphaQP:
             assert abs(alpha.sum() - 1.0) <= 1e-12
             assert (alpha >= -1e-15).all()
             assert (s * alpha <= caps + 1e-9 * s).all()
+
+
+def _kkt_violations(gram, s, caps, alpha):
+    """Largest violation of each optimality condition, on the Gram scaled to
+    largest entry one: feasibility, stationarity on the free entries, and the
+    multiplier signs at zero and at the cap. Entries exactly at zero or at
+    ``caps/s`` (below one) count as bound; any ``lam`` that certifies them is
+    taken."""
+    m = gram / max(np.abs(gram).max(), np.finfo(float).tiny)
+    upper = caps / s
+    at_zero = alpha == 0.0
+    at_cap = (alpha == upper) & (caps < s)
+    free = ~at_zero & ~at_cap
+    g = m @ alpha
+    if free.any():
+        lam = 0.5 * (g[free].max() + g[free].min())
+        stationarity = g[free].max() - lam
+    else:
+        lam = g[at_cap].max()
+        stationarity = 0.0
+    return {
+        "sum": abs(alpha.sum() - 1.0),
+        "negative": max(-alpha.min(), 0.0),
+        "over_cap": max((alpha - upper).max(), 0.0),
+        "stationarity": stationarity,
+        "zero_multiplier": max((lam - g[at_zero]).max(initial=0.0), 0.0),
+        "cap_multiplier": max((g[at_cap] - lam).max(initial=0.0), 0.0),
+    }
+
+
+def _full_rank(rng, k):
+    a = rng.normal(size=(k, k))
+    return a @ a.T
+
+
+def _low_rank(rng, k, rank):
+    d = rng.normal(size=(rank, k))
+    return d.T @ d
+
+
+class TestKKTCertificate:
+    """Every total of the grid satisfies the KKT conditions to 1e-12; no
+    reference solver is involved."""
+
+    INSTANCES = {
+        "full-rank-K3": lambda rng: (_full_rank(rng, 3), rng.integers(1, 2000, 3)),
+        "full-rank-K10": lambda rng: (_full_rank(rng, 10), rng.integers(1, 700, 10)),
+        "rank-1-K3": lambda rng: (_low_rank(rng, 3, 1), rng.integers(1, 2000, 3)),
+        "rank-8-K10": lambda rng: (_low_rank(rng, 10, 8), rng.integers(1, 700, 10)),
+        # at seed 11 a cap binds, is released as s grows, and binds again
+        "rank-4-K6": lambda rng: (_low_rank(rng, 6, 4), rng.integers(1, 300, 6)),
+        # caps from 5 to 400: every cap binds somewhere on the grid
+        "zero-gram": lambda rng: (np.zeros((4, 4)), np.array([5, 40, 120, 400])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_every_grid_total_is_certified(self, name, seed):
+        gram, caps = self.INSTANCES[name](np.random.default_rng(seed))
+        caps = np.asarray(caps, dtype=np.int64)
+        s_values = np.arange(1, caps.sum() + 1)  # every total, the summed caps included
+        alphas = planner._solve_qp_batch(gram, s_values, caps)
+        worst = {}
+        for s, alpha in zip(s_values, alphas):
+            for key, value in _kkt_violations(gram, s, caps, alpha).items():
+                worst[key] = max(worst.get(key, 0.0), value)
+        assert all(value <= 1e-12 for value in worst.values()), worst
+
+    def test_zero_gram_is_uniform_over_spare_capacity(self):
+        caps = np.array([5, 40, 120, 400])
+        for s in (4, 20, 100, 300, 565):
+            alpha = solve_alpha_qp(np.zeros((4, 4)), s, caps)
+            np.testing.assert_allclose(
+                alpha, project_capped_simplex(np.full(4, 0.25), caps / s), atol=1e-15)
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000])
+    def test_single_source_takes_everything_up_to_its_cap(self, cap):
+        for gram in ([[0.0]], [[0.3]]):
+            s_values = np.arange(1, cap + 1)  # cap above s, then equal to it
+            alphas = planner._solve_qp_batch(np.array(gram), s_values, np.array([cap]))
+            np.testing.assert_array_equal(alphas, 1.0)
+            with pytest.raises(FeasibilityError):  # cap below s
+                solve_alpha_qp(gram, cap + 1, [cap])
+
+    def test_slightly_indefinite_gram_is_solved(self):
+        """TransferProblem admits eigenvalues down to -1e-8 of the scale; the
+        solver must still finish, and certify to that order."""
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            k = 8
+            gram = _low_rank(rng, k, 6)
+            gram = gram / np.abs(gram).max() - 5e-9 * np.eye(k)
+            caps = rng.integers(1, 400, k)
+            problem = TransferProblem(n0=50, dim=3, caps=caps, gram=gram)
+            s_values = plan_transfer(problem, include_curve=True).curve.quantities[1:]
+            alphas = planner._solve_qp_batch(gram, s_values, caps)
+            for s, alpha in zip(s_values, alphas):
+                assert max(_kkt_violations(gram, s, caps, alpha).values()) <= 1e-7
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(planner, "_ACTIVE_SET_ITERS_PER_SOURCE", 0)
+        with pytest.raises(RuntimeError, match="did not finish"):
+            solve_alpha_qp(np.eye(3), 30, [100, 100, 100])
+
+    def test_non_finite_gram_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                TransferProblem(n0=10, dim=1, caps=[5, 5], gram=[[1.0, bad], [bad, 1.0]])
+
+
+# --------------------------------------------------------------------------
+# Oracle: the projected-gradient solver the exact sweep replaced, with its
+# logic unchanged, to check that plans do not change. Bisection projection,
+# lockstep projected gradient with exact line search, stopped at an objective
+# gain below 1e-12.
+# --------------------------------------------------------------------------
+
+def _oracle_project(y, upper):
+    lo = (y - upper).min(axis=1)
+    hi = y.max(axis=1)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        total = np.clip(y - mid[:, None], 0.0, upper).sum(axis=1)
+        above = total > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    lam = 0.5 * (lo + hi)
+    return np.clip(y - lam[:, None], 0.0, upper)
+
+
+def _oracle_descent(m, alpha, upper, tol=1e-12, max_iter=10_000):
+    lam_max = float(np.linalg.eigvalsh(m)[-1])
+    if lam_max <= 0.0:
+        return alpha
+    eta = 1.0 / (2.0 * lam_max)
+    obj = np.einsum("gi,ij,gj->g", alpha, m, alpha)
+    active = np.arange(alpha.shape[0])
+    for _ in range(max_iter):
+        a = alpha[active]
+        grad = 2.0 * a @ m
+        direction = _oracle_project(a - eta * grad, upper[active]) - a
+        curv = np.einsum("gi,ij,gj->g", direction, m, direction)
+        slope = np.einsum("gi,gi->g", grad, direction)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.where(curv > 0.0, -0.5 * slope / np.maximum(curv, 1e-300), 1.0)
+        gamma = np.clip(gamma, 0.0, 1.0)
+        a_new = a + gamma[:, None] * direction
+        obj_new = np.einsum("gi,ij,gj->g", a_new, m, a_new)
+        alpha[active] = a_new
+        improved = obj[active] - obj_new
+        obj[active] = obj_new
+        active = active[improved >= tol]
+        if active.size == 0:
+            break
+    return alpha
+
+
+def _oracle_solve_qp_batch(m, s_values, caps):
+    k = m.shape[0]
+    scale = float(np.abs(m).max())
+    if scale > 0.0:
+        m = m / scale
+    upper = np.minimum(caps[None, :].astype(np.float64) / s_values[:, None], 1.0)
+    base = _oracle_descent(m, np.full((1, k), 1.0 / k), np.ones((1, k)))[0]
+    alpha = _oracle_project(np.broadcast_to(base, upper.shape).copy(), upper)
+    return _oracle_descent(m, alpha, upper)
+
+
+def _fixed_spectrum(rng, k):
+    """Offsets in dim 2K with singular values 0.3 down to 0.15 (Gram condition 4)."""
+    q, _ = np.linalg.qr(rng.standard_normal((2 * k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return q @ np.diag(np.linspace(0.3, 0.15, k)) @ v.T
+
+
+def _panel(rng, k, dim):
+    """Equal-scale offsets in ``dim < K`` dimensions; in one they share a direction."""
+    if dim == 1:
+        directions = np.ones((1, k))
+    else:
+        directions = rng.standard_normal((dim, k))
+        directions /= np.linalg.norm(directions, axis=0)
+    return directions * rng.uniform(0.15, 0.25, k)
+
+
+def _plan_with(solver, problem, monkeypatch):
+    """``plan_transfer`` with ``solver`` as its QP sweep, and the sweep's optima."""
+    solved = []
+
+    def recording(*args):
+        solved.append(solver(*args))
+        return solved[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_solve_qp_batch", recording)
+        plan = plan_transfer(problem)
+    return plan, solved[0]
+
+
+class TestAgainstProjectedGradientOracle:
+    CASES = [("full-rank-K3", 3, 0), ("full-rank-K10", 10, 0),
+             ("panel-K3-dim1", 3, 1), ("panel-K10-dim8", 10, 8)]
+
+    @pytest.mark.parametrize("name, k, dim", CASES)
+    def test_same_plan_and_never_a_worse_objective(self, name, k, dim, monkeypatch):
+        # the oracle's time varies up to 40x between rank-deficient draws; the
+        # two panel draws of this stream take about a second each
+        rng = np.random.default_rng([25, k, dim])
+        for _ in range(2):
+            offsets = _fixed_spectrum(rng, k) if dim == 0 else _panel(rng, k, dim)
+            problem = TransferProblem(n0=int(rng.integers(50, 401)), dim=offsets.shape[0],
+                                      caps=rng.integers(300, 701, k), gram=offsets.T @ offsets,
+                                      step_number=300)
+            plan, exact = _plan_with(planner._solve_qp_batch, problem, monkeypatch)
+            oracle_plan, oracle = _plan_with(_oracle_solve_qp_batch, problem, monkeypatch)
+            assert plan.s_star == oracle_plan.s_star
+            np.testing.assert_array_equal(plan.n_star, oracle_plan.n_star)
+            ours = np.einsum("gi,ij,gj->g", exact, problem.gram, exact)
+            theirs = np.einsum("gi,ij,gj->g", oracle, problem.gram, oracle)
+            assert (theirs > 0.0).all()
+            assert ((ours - theirs) / theirs).max() <= 1e-12
 
 
 class TestProxyMulti:

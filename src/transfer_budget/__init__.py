@@ -21,7 +21,6 @@ from .estimation import (
     InsufficientDataError,
     MLEFit,
     PooledData,
-    QuadFormMatrix,
     discrepancy,
     empirical_fisher,
     offset_gram,
@@ -62,8 +61,6 @@ from .trainer import (
     generate_suite,
     pretrain_sources,
     train,
-    train_baseline,
-    train_dynamic,
 )
 
 __version__ = "0.1.0"

@@ -80,9 +80,17 @@ def _as_number(value, path: str, minimum=None, strict: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
     if minimum is not None and (value < minimum or (strict and value == minimum)):
         op = ">" if strict else ">="
         raise ConfigError(path, f"must be {op} {minimum}, got {value}")
+    return value
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
     return value
 
 
@@ -235,7 +243,7 @@ def cmd_plan(spec: RunSpec, out: Path) -> int:
                 n0=spec.n0,
                 dim=spec.family.dim,
                 caps=np.array(spec.source_caps),
-                gram=gram.matrix,
+                gram=gram,
                 step_number=spec.step_number,
             )
         except ValueError as exc:  # e.g. thetas so far apart that the Gram overflows
@@ -263,6 +271,8 @@ def _curve_settings(spec: RunSpec):
         t = _as_number(cfg["t"], "curve.t", 0.0)
     elif spec.source_thetas:
         t = discrepancy(spec.fisher(), spec.theta0, spec.source_thetas[0])
+        if not np.isfinite(t):  # e.g. thetas so far apart that the discrepancy overflows
+            raise ConfigError("sources", f"unusable discrepancy of the first source: {t}")
     else:
         raise ConfigError("curve.t", "needs an explicit t when no sources are given")
     if "cap" in cfg:
@@ -365,7 +375,9 @@ def _trainer_settings(spec: RunSpec):
         steps_per_epoch=_as_int(cfg.get("steps_per_epoch", 40), _join(path, "steps_per_epoch"), 1),
         step_number=_as_int(cfg.get("stepnumber", 1000), _join(path, "stepnumber"), 1),
         fisher_mode=FisherMode(mode),
-        target_only_fisher=bool(cfg.get("target_only_fisher", False)),
+        target_only_fisher=_as_bool(
+            cfg.get("target_only_fisher", False), _join(path, "target_only_fisher")
+        ),
         init_scale=_as_number(cfg.get("init_scale", 0.01), _join(path, "init_scale"), 0.0),
     )
 

@@ -1,8 +1,9 @@
 """Pooled maximum-likelihood estimation and Fisher-information estimates.
 
 The planner only ever needs the K x K Gram matrix of source parameter offsets
-under the Fisher metric, so the empirical-Fisher paths expose a quadratic-form
-interface that never materializes a ``d x d`` matrix unless explicitly asked.
+under the Fisher metric, so every Fisher estimate is held as a factor ``A``
+with ``J = A^T A / r`` and exposes a quadratic-form interface that never
+materializes a ``d x d`` matrix unless explicitly asked.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ __all__ = [
     "PooledData",
     "MLEFit",
     "FisherEstimate",
-    "QuadFormMatrix",
     "InsufficientDataError",
     "pooled_mle",
     "empirical_fisher",
     "offset_gram",
     "discrepancy",
 ]
+
+
+#: softmax gradient-ascent stopping rule: ``max|grad| < _MLE_TOL`` or this many iterations
+_MLE_TOL = 1e-8
+_MLE_MAX_ITER = 10_000
 
 
 class InsufficientDataError(ValueError):
@@ -48,8 +53,7 @@ class PooledData:
     """Target samples plus the per-source transferred samples.
 
     ``target`` and each entry of ``sources`` use the owning family's sample
-    container. Tags identify the originating task; samples are grouped per
-    task by construction, so a sample's tag is its list's tag.
+    container, one list entry per source task.
 
     With ``batched``, every part stacks one dataset per trial along a leading
     axis of the same length, and :func:`pooled_mle` fits each trial's pool on
@@ -58,12 +62,7 @@ class PooledData:
 
     target: object
     sources: list = field(default_factory=list)
-    target_tag: str = "target"
-    source_tags: list[str] | None = None
     batched: bool = False
-
-    def counts(self, family: Family) -> tuple[int, list[int]]:
-        return family.count(self.target), [family.count(s) for s in self.sources]
 
 
 @dataclass
@@ -81,8 +80,7 @@ class MLEFit:
     log_likelihood: float = float("nan")
 
 
-def _softmax_mle(family, x, *, tol: float = 1e-8, max_iter: int = 10_000,
-                 theta0: np.ndarray | None = None) -> MLEFit:
+def _softmax_mle(family, x) -> MLEFit:
     """Gradient ascent on the average log-likelihood with backtracking halving.
 
     The initial step comes from the curvature bound of the multinomial
@@ -95,12 +93,12 @@ def _softmax_mle(family, x, *, tol: float = 1e-8, max_iter: int = 10_000,
     lipschitz = 0.5 * float(np.linalg.eigvalsh(moment)[-1])
     step = 1.0 / max(lipschitz, 1e-12)
 
-    theta = np.zeros(family.dim) if theta0 is None else np.array(theta0, dtype=np.float64)
+    theta = np.zeros(family.dim)
     value = family.log_prob(theta, x).mean()
     grad = family.score(theta, x).mean(axis=0)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) < tol:
+    for iterations in range(1, _MLE_MAX_ITER + 1):
+        if float(np.abs(grad).max()) < _MLE_TOL:
             break
         improved = False
         while step >= 1e-16:
@@ -123,14 +121,13 @@ def _softmax_mle(family, x, *, tol: float = 1e-8, max_iter: int = 10_000,
     )
 
 
-def pooled_mle(family: Family, data: PooledData, *, tol: float = 1e-8,
-               max_iter: int = 10_000) -> MLEFit:
+def pooled_mle(family: Family, data: PooledData) -> MLEFit:
     """Maximize the average log-likelihood over target plus transferred samples.
 
     Families with sufficient statistics use their closed form (frequency cells
     that would map to infinite logits get 0.5 additive smoothing and the fit
     is flagged); softmax regression is fit by gradient ascent with stopping
-    rule ``max|grad| < tol`` or ``max_iter`` iterations.
+    rule ``max|grad| < 1e-8`` or 10,000 iterations.
     """
     if data.batched:
         return _batched_mle(family, data)
@@ -147,7 +144,7 @@ def pooled_mle(family: Family, data: PooledData, *, tol: float = 1e-8,
             smoothed=smoothed,
             log_likelihood=float(family.log_prob(theta, pooled).mean()),
         )
-    return _softmax_mle(family, pooled, tol=tol, max_iter=max_iter)
+    return _softmax_mle(family, pooled)
 
 
 def _batched_mle(family: Family, data: PooledData) -> MLEFit:
@@ -164,19 +161,23 @@ def _batched_mle(family: Family, data: PooledData) -> MLEFit:
 
 @dataclass
 class FisherEstimate:
-    """Fisher information exposed as a quadratic form.
+    """Fisher information ``J = A^T A / r`` held as the factor ``A``.
 
-    ``quad_form(U)`` evaluates ``U^T J U`` for a ``(d, K)`` block of vectors;
-    the per-sample path works from the ``(n, d)`` score matrix so nothing
-    ``d x d`` is ever built unless :meth:`dense` is called.
+    ``factor`` is ``A``, of shape ``(rows, d)``, and ``divisor`` is ``r``:
+
+    * analytic: the eigen square root of the closed form, with ``r = 1``;
+    * per-sample: the ``(n, d)`` score matrix, with ``r = n``;
+    * batch: the mean score as one row, with ``r = 1``.
+
+    ``quad_form(U)`` evaluates ``U^T J U`` for a ``(d, K)`` block of vectors
+    without building anything ``d x d``; only :meth:`dense` does.
     """
 
     mode: FisherMode
     dim: int
     sample_count: int
-    _matrix: np.ndarray | None = None
-    _scores: np.ndarray | None = None
-    _mean_score: np.ndarray | None = None
+    factor: np.ndarray
+    divisor: int = 1
 
     def quad_form(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -185,79 +186,54 @@ class FisherEstimate:
             u = u[:, None]
         if u.shape[0] != self.dim:
             raise ValueError(f"expected vectors of length {self.dim}, got {u.shape[0]}")
-        if self.mode is FisherMode.ANALYTIC:
-            out = u.T @ self._matrix @ u
-        elif self.mode is FisherMode.PER_SAMPLE:
-            v = self._scores @ u
-            out = v.T @ v / self._scores.shape[0]
-        else:
-            w = self._mean_score @ u
-            out = np.outer(w, w)
+        v = self.factor @ u
+        out = v.T @ v / self.divisor
         out = 0.5 * (out + out.T)
         return out[0, 0] if squeeze else out
 
     def dense(self) -> np.ndarray:
         """Materialize the full ``d x d`` matrix (memory grows quadratically)."""
-        if self.mode is FisherMode.ANALYTIC:
-            return self._matrix
-        if self.mode is FisherMode.PER_SAMPLE:
-            m = self._scores.T @ self._scores / self._scores.shape[0]
-        else:
-            m = np.outer(self._mean_score, self._mean_score)
+        m = self.factor.T @ self.factor / self.divisor
         return 0.5 * (m + m.T)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.dense()
 
 
 def empirical_fisher(family: Family, theta, samples,
                      mode: FisherMode = FisherMode.PER_SAMPLE) -> FisherEstimate:
-    """Estimate the Fisher information at ``theta`` from observed samples."""
+    """Estimate the Fisher information at ``theta`` from observed samples.
+
+    ``ANALYTIC`` factors the family's closed form and ignores ``samples``.
+    """
     if mode is FisherMode.ANALYTIC:
-        return FisherEstimate(
-            mode=mode, dim=family.dim, sample_count=0, _matrix=family.fisher(theta)
-        )
+        w, v = np.linalg.eigh(family.fisher(theta))
+        root = (v * np.sqrt(np.maximum(w, 0.0))).T
+        return FisherEstimate(mode=mode, dim=family.dim, sample_count=0, factor=root)
     n = family.count(samples)
     if n == 0:
         raise InsufficientDataError("empirical Fisher needs at least one sample")
     scores = family.score(theta, samples)
     if mode is FisherMode.PER_SAMPLE:
-        return FisherEstimate(mode=mode, dim=family.dim, sample_count=n, _scores=scores)
-    return FisherEstimate(
-        mode=mode, dim=family.dim, sample_count=n, _mean_score=scores.mean(axis=0)
-    )
+        return FisherEstimate(mode=mode, dim=family.dim, sample_count=n, factor=scores, divisor=n)
+    return FisherEstimate(mode=mode, dim=family.dim, sample_count=n,
+                          factor=scores.mean(axis=0, keepdims=True))
 
 
-@dataclass
-class QuadFormMatrix:
+def offset_gram(fisher: FisherEstimate, theta0, source_params) -> np.ndarray:
     """K x K Gram matrix of source parameter offsets under the Fisher metric.
 
     Entry ``(i, j)`` is ``(theta_i - theta_0)^T J (theta_j - theta_0)``; the
     diagonal divided by the dimension gives each source's discrepancy scalar.
+    Offsets far enough apart overflow to non-finite entries without a
+    warning; :class:`~transfer_budget.planner.TransferProblem` rejects them.
     """
-
-    matrix: np.ndarray
-    offset_norms: np.ndarray
-
-    @property
-    def num_sources(self) -> int:
-        return self.matrix.shape[0]
-
-
-def offset_gram(fisher: FisherEstimate, theta0, source_params) -> QuadFormMatrix:
-    """Build the planner's K x K quadratic-form matrix from parameter offsets."""
     theta0 = np.asarray(theta0, dtype=np.float64)
-    offsets = [np.asarray(t, dtype=np.float64) - theta0 for t in source_params]
-    if not offsets:
+    params = [np.asarray(t, dtype=np.float64) for t in source_params]
+    if not params:
         raise ValueError("need at least one source parameter")
-    for off in offsets:
-        if off.shape != theta0.shape:
-            raise ValueError("source parameter dimension mismatch")
-    u = np.stack(offsets, axis=1)
-    gram = np.atleast_2d(fisher.quad_form(u))
-    norms = np.array([float(np.linalg.norm(o)) for o in offsets])
-    return QuadFormMatrix(matrix=gram, offset_norms=norms)
+    if any(t.shape != theta0.shape for t in params):
+        raise ValueError("source parameter dimension mismatch")
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.stack([t - theta0 for t in params], axis=1)
+        return np.atleast_2d(fisher.quad_form(offsets))
 
 
 def discrepancy(fisher: FisherEstimate, theta0, theta1) -> float:
@@ -265,10 +241,12 @@ def discrepancy(fisher: FisherEstimate, theta0, theta1) -> float:
 
     ``(theta1 - theta0)^T J (theta1 - theta0) / d``; scalar regardless of the
     parameter dimension, and symmetric in its two arguments because J is
-    evaluated wherever ``fisher`` was built.
+    evaluated wherever ``fisher`` was built. Like :func:`offset_gram`, it
+    turns overflow into a non-finite value without a warning.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     theta1 = np.asarray(theta1, dtype=np.float64)
     if theta0.shape != theta1.shape:
         raise ValueError("parameter dimension mismatch")
-    return float(fisher.quad_form(theta1 - theta0)) / fisher.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(fisher.quad_form(theta1 - theta0)) / fisher.dim

@@ -111,12 +111,16 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return ndtri(open_uniform(rng, size))
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis; shifts ``logits`` in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _softmax_last(theta) -> np.ndarray:
     """Class probabilities of free logits ``(..., m - 1)`` with the last logit pinned to 0."""
-    z = np.concatenate([theta, np.zeros((*np.shape(theta)[:-1], 1))], axis=-1)
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(np.concatenate([theta, np.zeros((*np.shape(theta)[:-1], 1))], axis=-1))
 
 
 class Family(ABC):
@@ -419,32 +423,45 @@ class SoftmaxRegression(Family):
             raise InvalidSampleError("label out of range")
         return features, labels
 
-    def _class_log_probs(self, theta, features: np.ndarray) -> np.ndarray:
-        logits = features @ self.weights(theta).T
+    @staticmethod
+    def class_log_probs(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Log class probabilities ``(n, num_classes)`` of each feature row.
+
+        ``weights`` is the ``(num_classes, feature_dim)`` matrix; neither
+        argument is validated.
+        """
+        logits = features @ weights.T
         logits -= logits.max(axis=1, keepdims=True)
         return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
+    def residual(self, weights: np.ndarray, x) -> np.ndarray:
+        """``onehot(label) - p`` per observation, shape ``(n, num_classes)``.
+
+        ``x`` is a ``(features, labels)`` pair as :meth:`sample` returns it;
+        like ``weights``, it is not validated. The score is this residual's
+        outer product with the features.
+        """
+        features, labels = x
+        resid = -np.exp(self.class_log_probs(weights, features))
+        resid[np.arange(labels.shape[0]), labels] += 1.0
+        return resid
+
     def log_prob(self, theta, x) -> np.ndarray:
         features, labels = self._obs(x)
-        logp = self._class_log_probs(theta, features)
+        logp = self.class_log_probs(self.weights(theta), features)
         marginal = -0.5 * (features * features).sum(axis=1) - 0.5 * self.feature_dim * _LOG_2PI
         return logp[np.arange(labels.shape[0]), labels] + marginal
 
     def score(self, theta, x) -> np.ndarray:
-        features, labels = self._obs(x)
-        p = np.exp(self._class_log_probs(theta, features))
-        resid = -p
-        resid[np.arange(labels.shape[0]), labels] += 1.0
-        return np.einsum("nc,nf->ncf", resid, features).reshape(labels.shape[0], self.dim)
+        x = self._obs(x)
+        resid = self.residual(self.weights(theta), x)
+        return np.einsum("nc,nf->ncf", resid, x[0]).reshape(resid.shape[0], self.dim)
 
     def sample(self, theta, rng, n):
         w = self.weights(theta)
         n = int(n)
         features = _standard_normal(rng, (n, self.feature_dim))
-        logits = features @ w.T
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(features @ w.T)
         u = open_uniform(rng, n)
         labels = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
         return features, np.minimum(labels, self.num_classes - 1).astype(np.int64)
@@ -457,8 +474,8 @@ class SoftmaxRegression(Family):
 
     def conditional_kl(self, theta_a, theta_b, features: np.ndarray) -> np.ndarray:
         """Per-feature KL between the two conditional label distributions."""
-        la = self._class_log_probs(theta_a, features)
-        lb = self._class_log_probs(theta_b, features)
+        la = self.class_log_probs(self.weights(theta_a), features)
+        lb = self.class_log_probs(self.weights(theta_b), features)
         return (np.exp(la) * (la - lb)).sum(axis=1)
 
     def kl_mc(self, theta_a, theta_b, draws: int = _KL_FEATURE_DRAWS,

@@ -204,7 +204,6 @@ def estimate_expected_kl(family: Family, theta0, sources, n0: int, trials: int,
 class SweepResult:
     """Empirical KL curve over a transfer-quantity grid plus its predictions."""
 
-    axis: str
     quantities: np.ndarray
     reports: list[TrialReport]
     empirical_argmin: int
@@ -249,7 +248,6 @@ def sweep_n1(family: Family, theta0, theta1, n0: int, cap: int, grid_step: int,
     )
     means = np.array([r.mean_kl for r in reports])
     return SweepResult(
-        axis="n1",
         quantities=quantities,
         reports=reports,
         empirical_argmin=int(quantities[int(np.argmin(means))]),
@@ -286,7 +284,7 @@ def negative_transfer_table(family: Family, theta0, sources, n0_values, trials: 
     for n0 in n0_values:
         n0 = int(n0)
         plan = plan_transfer(
-            TransferProblem(n0=n0, dim=family.dim, caps=caps, gram=gram.matrix)
+            TransferProblem(n0=n0, dim=family.dim, caps=caps, gram=gram)
         )
         for strategy, counts in (
             ("target_only", np.zeros(len(sources), dtype=np.int64)),

@@ -30,8 +30,6 @@ __all__ = [
     "generate_suite",
     "pretrain_sources",
     "train",
-    "train_dynamic",
-    "train_baseline",
     "compare_strategies",
     "ComparisonRow",
 ]
@@ -180,13 +178,13 @@ def generate_suite(config: SuiteConfig, seed: int) -> TaskSuite:
     )
 
 
-def pretrain_sources(family, pools, *, tol: float = 1e-8) -> list[np.ndarray]:
+def pretrain_sources(family, pools) -> list[np.ndarray]:
     """Fit each source's parameter by MLE on its full pool.
 
     These fits stand in for the true source parameters during planning; the
     pools are large, so the estimates are tight.
     """
-    return [pooled_mle(family, PooledData(target=pool), tol=tol).theta for pool in pools]
+    return [pooled_mle(family, PooledData(target=pool)).theta for pool in pools]
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,6 @@ class TrainOptions:
     #: plan from target-batch gradients only instead of the mixed training batch
     target_only_fisher: bool = False
     init_scale: float = 0.01
-    pretrain_tol: float = 1e-8
 
 
 @dataclass
@@ -223,23 +220,6 @@ class TrainRun:
     test_accuracy_at_best: float
     total_samples: int
     planner_calls: int
-
-
-def _log_softmax(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    logits = feats @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-
-
-def _nll(weights, feats, labels) -> float:
-    logp = _log_softmax(weights, feats)
-    return float(-logp[np.arange(labels.shape[0]), labels].mean())
-
-
-def _nll_gradient(weights, feats, labels) -> np.ndarray:
-    resid = np.exp(_log_softmax(weights, feats))
-    resid[np.arange(labels.shape[0]), labels] -= 1.0
-    return resid.T @ feats / labels.shape[0]
 
 
 def _accuracy(weights, data) -> float:
@@ -276,9 +256,7 @@ class _Loop:
 
     def ensure_pretrained(self):
         if self.source_params is None:
-            self.source_params = pretrain_sources(
-                self.suite.family, self.suite.pools, tol=self.options.pretrain_tol
-            )
+            self.source_params = pretrain_sources(self.suite.family, self.suite.pools)
 
     def plan(self, batch) -> TransferPlan:
         """Replan from the Fisher quadratic form of the given training batch."""
@@ -292,7 +270,7 @@ class _Loop:
             n0=suite.n0,
             dim=suite.family.dim,
             caps=suite.caps,
-            gram=gram.matrix,
+            gram=gram,
             step_number=options.step_number,
         )
         self.planner_calls += 1
@@ -314,16 +292,26 @@ class _Loop:
     # --- one epoch of gradient descent ---------------------------------
 
     def run_epoch(self, batch) -> float:
+        """Full-batch gradient descent on the mean negative log-likelihood;
+        returns that loss after the last step."""
+        family = self.suite.family
         feats, labels = batch
+        n = labels.shape[0]
         for _ in range(self.options.steps_per_epoch):
-            self.weights -= self.options.learning_rate * _nll_gradient(
-                self.weights, feats, labels
-            )
-        return _nll(self.weights, feats, labels)
+            gradient = -(family.residual(self.weights, batch).T @ feats) / n
+            self.weights -= self.options.learning_rate * gradient
+        logp = family.class_log_probs(self.weights, feats)
+        return float(-logp[np.arange(n), labels].mean())
 
 
-def _run(suite: TaskSuite, strategy: Strategy, options: TrainOptions,
-         pretrained: list[np.ndarray] | None = None) -> TrainRun:
+def train(suite: TaskSuite, strategy: Strategy, options: TrainOptions = TrainOptions(),
+          pretrained: list[np.ndarray] | None = None) -> TrainRun:
+    """Train one strategy on ``suite``; see :class:`Strategy` for the roster.
+
+    Dynamic replanning trains epoch zero on the target alone, then plans,
+    resamples and trains every epoch. ``pretrained`` holds the source fits of
+    :func:`pretrain_sources`; they are fitted on first use when not given.
+    """
     loop = _Loop(suite, options, strategy, pretrained)
     target = suite.train
 
@@ -396,26 +384,6 @@ def _run(suite: TaskSuite, strategy: Strategy, options: TrainOptions,
     )
 
 
-def train_dynamic(suite: TaskSuite, options: TrainOptions = TrainOptions()) -> TrainRun:
-    """Per-epoch replanning: epoch zero is target-only, then plan/resample/train."""
-    return _run(suite, Strategy.DYNAMIC, options)
-
-
-def train_baseline(suite: TaskSuite, strategy: Strategy,
-                   options: TrainOptions = TrainOptions()) -> TrainRun:
-    """Non-dynamic strategies; see :class:`Strategy` for the roster."""
-    if strategy is Strategy.DYNAMIC:
-        raise ValueError("use train_dynamic for the dynamic strategy")
-    return _run(suite, strategy, options)
-
-
-def train(suite: TaskSuite, strategy: Strategy,
-          options: TrainOptions = TrainOptions()) -> TrainRun:
-    if strategy is Strategy.DYNAMIC:
-        return train_dynamic(suite, options)
-    return train_baseline(suite, strategy, options)
-
-
 @dataclass
 class ComparisonRow:
     strategy: Strategy
@@ -438,9 +406,9 @@ def compare_strategies(config: SuiteConfig, strategies, seeds,
     runs: dict[tuple[Strategy, int], TrainRun] = {}
     for seed in seeds:
         suite = generate_suite(config, seed)
-        pretrained = pretrain_sources(suite.family, suite.pools, tol=options.pretrain_tol)
+        pretrained = pretrain_sources(suite.family, suite.pools)
         for strategy in strategies:
-            runs[(strategy, seed)] = _run(suite, strategy, options, pretrained)
+            runs[(strategy, seed)] = train(suite, strategy, options, pretrained)
 
     rows = []
     for strategy in strategies:

@@ -209,7 +209,7 @@ class TestCriterion7:
         gram = offset_gram(estimate, theta, sources)
         u = np.stack([s - theta for s in sources], axis=1)
         dense = u.T @ estimate.dense() @ u
-        np.testing.assert_allclose(gram.matrix, 0.5 * (dense + dense.T), atol=1e-10)
+        np.testing.assert_allclose(gram, 0.5 * (dense + dense.T), atol=1e-10)
         elapsed = time.perf_counter() - start
         report(7, "empirical Fisher convergence and accumulator parity", elapsed)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,10 +70,12 @@ class TestPlan:
             "sources": [{"name": "a", "theta": [1e308], "cap": 100},
                         {"name": "b", "theta": [-1e308], "cap": 100}],
         })
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise
             code = main(["plan", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "config error at sources:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error at sources:")
 
     def test_empirical_fisher_fallback_for_softmax(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -266,6 +269,37 @@ class TestBadConfigs:
         cfg = write_config(tmp_path, {"family": {"kind": "cauchy"}, "n0": 10, "sources": []})
         assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "family.kind" in capsys.readouterr().err
+
+    CURVE = {"family": {"kind": "gaussian"}, "n0": 100, "sources": [],
+             "curve": {"cap": 200, "grid_points": 11}}
+
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("curve", dict(CURVE, curve={"t": float("nan"), "cap": 200}), "curve.t"),
+        ("curve", dict(CURVE, curve={"t": float("inf"), "cap": 200}), "curve.t"),
+        ("plan", {"family": {"kind": "gaussian", "sigma": float("inf")}, "n0": 10},
+         "family.sigma"),
+        ("train", {"trainer": {"learning_rate": float("nan")}}, "trainer.learning_rate"),
+        ("plan", {"n0": 10, "sources": [{"name": "s", "delta": float("inf"), "cap": 5}]},
+         "sources[0].delta"),
+        # finite thetas whose discrepancy overflows
+        ("curve", dict(CURVE, sources=[{"name": "s", "theta": [1e308], "cap": 5}]), "sources"),
+    ], ids=["t-nan", "t-inf", "sigma-inf", "learning-rate-nan", "delta-inf", "overflowing-t"])
+    def test_non_finite_numbers_report_path(self, tmp_path, capsys, command, cfg, field):
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error at {field}:")
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_target_only_fisher_needs_a_boolean(self, tmp_path, capsys, value):
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["trainer"]["target_only_fisher"] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error at trainer.target_only_fisher:" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

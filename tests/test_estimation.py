@@ -160,18 +160,62 @@ class TestEmpiricalFisher:
             assert np.linalg.eigvalsh(dense)[0] >= -1e-10
 
 
+ANALYTIC_CASES = [
+    (GaussianMean(sigma=1.0), np.array([0.3])),
+    (GaussianMean(sigma=0.7), np.array([-1.2])),
+    (GaussianMean(sigma=0.7, dim=3), np.array([0.4, -0.2, 1.1])),
+    (BernoulliLogit(), np.array([0.0])),
+    (BernoulliLogit(), np.array([800.0])),  # p rounds to 1, so J = 0
+    (CategoricalLogits(num_classes=5), np.array([0.3, -1.0, 2.0, 0.5])),
+]
+ANALYTIC_IDS = ["gauss", "gauss-0.7", "gauss-dim3", "bern-0", "bern-800", "cat5"]
+
+
+class TestFisherFactor:
+    @pytest.mark.parametrize("family,theta", ANALYTIC_CASES, ids=ANALYTIC_IDS)
+    def test_analytic_dense_matches_the_closed_form(self, family, theta):
+        exact = family.fisher(theta)
+        dense = empirical_fisher(family, theta, None, FisherMode.ANALYTIC).dense()
+        np.testing.assert_allclose(dense, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("mode", list(FisherMode), ids=lambda m: m.value)
+    def test_quad_form_is_the_dense_quadratic_form(self, mode):
+        rng = np.random.default_rng(30)
+        if mode is FisherMode.ANALYTIC:
+            family, theta, x = CategoricalLogits(num_classes=5), rng.normal(size=4), None
+        else:
+            family = SoftmaxRegression(feature_dim=3, num_classes=3)
+            theta = rng.normal(size=family.dim)
+            x = family.sample(theta, rng, 400)
+        est = empirical_fisher(family, theta, x, mode)
+        u = rng.normal(size=(family.dim, 4))
+        expected = u.T @ est.dense() @ u
+        np.testing.assert_allclose(est.quad_form(u), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("dim", [1, 4, 20])
+    def test_unit_gaussian_gram_is_the_plain_gram(self, dim):
+        g = GaussianMean(sigma=1.0, dim=dim)
+        rng = np.random.default_rng(dim)
+        theta0 = rng.normal(size=dim)
+        sources = [theta0 + rng.normal(size=dim) * 0.3 for _ in range(3)]
+        u = np.stack([s - theta0 for s in sources], axis=1)
+        gram = offset_gram(empirical_fisher(g, theta0, None, FisherMode.ANALYTIC), theta0, sources)
+        np.testing.assert_array_equal(gram, u.T @ u)
+
+
 class TestOffsetGram:
     def test_zero_offsets_give_zero_matrix(self):
         g = GaussianMean(sigma=1.0, dim=2)
         est = empirical_fisher(g, np.zeros(2), g.sample(np.zeros(2), np.random.default_rng(1), 100))
         gram = offset_gram(est, np.zeros(2), [np.zeros(2), np.zeros(2)])
-        np.testing.assert_allclose(gram.matrix, 0.0, atol=1e-15)
+        np.testing.assert_allclose(gram, 0.0, atol=1e-15)
 
     def test_identity_fisher_orthogonal_offsets(self):
         g = GaussianMean(sigma=1.0, dim=2)
         est = empirical_fisher(g, np.zeros(2), None, FisherMode.ANALYTIC)
         gram = offset_gram(est, np.zeros(2), [np.array([0.1, 0.1]), np.array([0.1, -0.1])])
-        np.testing.assert_allclose(gram.matrix, [[0.02, 0.0], [0.0, 0.02]], atol=1e-15)
+        np.testing.assert_allclose(gram, [[0.02, 0.0], [0.0, 0.02]], atol=1e-15)
 
     def test_accumulator_path_matches_dense_path(self):
         """d=20, K=3: the (n, K) accumulator equals U^T J U from the dense matrix."""
@@ -184,7 +228,7 @@ class TestOffsetGram:
         gram = offset_gram(est, theta, sources)
         u = np.stack([s - theta for s in sources], axis=1)
         dense = u.T @ est.dense() @ u
-        np.testing.assert_allclose(gram.matrix, 0.5 * (dense + dense.T), atol=1e-10)
+        np.testing.assert_allclose(gram, 0.5 * (dense + dense.T), atol=1e-10)
 
     def test_gram_is_psd_and_symmetric(self):
         sm = SoftmaxRegression(feature_dim=6, num_classes=4)
@@ -193,7 +237,7 @@ class TestOffsetGram:
         x = sm.sample(theta, rng, 200)
         est = empirical_fisher(sm, theta, x)
         sources = [theta + rng.normal(size=sm.dim) for _ in range(5)]
-        gram = offset_gram(est, theta, sources).matrix
+        gram = offset_gram(est, theta, sources)
         np.testing.assert_allclose(gram, gram.T, atol=1e-12)
         assert np.linalg.eigvalsh(gram)[0] >= -1e-10
 
@@ -236,6 +280,6 @@ class TestDiscrepancy:
         sources = [theta + rng.normal(size=sm.dim) * 0.3 for _ in range(4)]
         gram = offset_gram(est, theta, sources)
         for i, s in enumerate(sources):
-            assert gram.matrix[i, i] == pytest.approx(
+            assert gram[i, i] == pytest.approx(
                 sm.dim * discrepancy(est, theta, s), abs=1e-12
             )

@@ -14,11 +14,28 @@ from transfer_budget.trainer import (
     generate_suite,
     pretrain_sources,
     train,
-    train_baseline,
-    train_dynamic,
 )
 
 FAST = TrainOptions(epochs=20, steps_per_epoch=15)
+
+
+# reference softmax step and loss, kept as the trainer had them before it used
+# the family's softmax core
+def _log_softmax(weights, feats):
+    logits = feats @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+def _nll(weights, feats, labels):
+    logp = _log_softmax(weights, feats)
+    return float(-logp[np.arange(labels.shape[0]), labels].mean())
+
+
+def _nll_gradient(weights, feats, labels):
+    resid = np.exp(_log_softmax(weights, feats))
+    resid[np.arange(labels.shape[0]), labels] -= 1.0
+    return resid.T @ feats / labels.shape[0]
 
 
 def small_config(**kw):
@@ -86,7 +103,7 @@ class TestPretrainSources:
 
 class TestDynamic:
     def test_first_epoch_is_target_only_then_plans_every_epoch(self):
-        run = train_dynamic(generate_suite(small_config(), 11), FAST)
+        run = train(generate_suite(small_config(), 11), Strategy.DYNAMIC, FAST)
         assert run.records[0].plan is None
         assert run.records[0].samples_used == generate_suite(small_config(), 11).n0
         for record in run.records[1:]:
@@ -96,15 +113,15 @@ class TestDynamic:
 
     def test_plans_stay_feasible(self):
         suite = generate_suite(small_config(), 12)
-        run = train_dynamic(suite, FAST)
+        run = train(suite, Strategy.DYNAMIC, FAST)
         for record in run.records[1:]:
             assert (record.plan.n_star <= suite.caps).all()
             assert (record.plan.n_star >= 0).all()
 
     def test_deterministic_replay(self):
         suite = generate_suite(small_config(), 13)
-        a = train_dynamic(suite, FAST)
-        b = train_dynamic(suite, FAST)
+        a = train(suite, Strategy.DYNAMIC, FAST)
+        b = train(suite, Strategy.DYNAMIC, FAST)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra.train_loss == rb.train_loss
@@ -134,7 +151,8 @@ class TestDynamic:
 
     def test_partial_draws_never_repeat_within_a_run(self):
         suite = generate_suite(small_config(deltas=(1.5, 2.5)), 14)
-        run = train_dynamic(suite, TrainOptions(epochs=11, patience=11, steps_per_epoch=10))
+        run = train(suite, Strategy.DYNAMIC,
+                    TrainOptions(epochs=11, patience=11, steps_per_epoch=10))
         for i in range(2):
             seen = [
                 tuple(r.source_indices[i])
@@ -146,61 +164,57 @@ class TestDynamic:
     def test_identical_tasks_transfer_nearly_everything(self):
         """All-zero shifts: the converged plan requests almost the full pools."""
         suite = generate_suite(small_config(deltas=(0.0, 0.0), shots=10), 15)
-        run = train_dynamic(suite, FAST)
+        run = train(suite, Strategy.DYNAMIC, FAST)
         final_plan = run.records[-1].plan or run.records[-2].plan
         assert final_plan.n_star.sum() >= 0.9 * suite.caps.sum()
 
     def test_identical_tasks_balance_proportions(self):
         suite = generate_suite(small_config(deltas=(0.0, 0.0, 0.0), pool_sizes=(300,) * 3), 16)
-        run = train_dynamic(suite, FAST)
+        run = train(suite, Strategy.DYNAMIC, FAST)
         final_plan = run.records[-1].plan
         assert np.abs(final_plan.alpha_star - 1 / 3).max() <= 0.1
 
     def test_shifted_source_is_downweighted(self):
         suite = generate_suite(small_config(deltas=(0.0, 4.0), shots=10), 17)
-        run = train_dynamic(suite, FAST)
+        run = train(suite, Strategy.DYNAMIC, FAST)
         plan = run.records[-1].plan
         caps = suite.caps
         assert plan.n_star[1] / caps[1] < plan.n_star[0] / caps[0]
 
 
 class TestBaselines:
-    def test_dynamic_rejected(self):
-        with pytest.raises(ValueError):
-            train_baseline(generate_suite(small_config(), 1), Strategy.DYNAMIC, FAST)
-
     def test_all_sources_accounting_identity(self):
         suite = generate_suite(small_config(), 18)
-        run = train_baseline(suite, Strategy.ALL_SOURCES, FAST)
+        run = train(suite, Strategy.ALL_SOURCES, FAST)
         expected = suite.n0 + int(suite.caps.sum())
         assert all(r.samples_used == expected for r in run.records)
         assert run.total_samples == expected * len(run.records)
 
     def test_target_only_never_touches_sources(self):
         suite = generate_suite(small_config(), 19)
-        run = train_baseline(suite, Strategy.TARGET_ONLY, FAST)
+        run = train(suite, Strategy.TARGET_ONLY, FAST)
         assert all(r.samples_used == suite.n0 for r in run.records)
         assert run.planner_calls == 0
 
     def test_static_plans_exactly_once(self):
         suite = generate_suite(small_config(), 20)
         for strategy in (Strategy.STATIC_UNDER, Strategy.STATIC_EXACT, Strategy.STATIC_OVER):
-            run = train_baseline(suite, strategy, TrainOptions(epochs=30, steps_per_epoch=10))
+            run = train(suite, strategy, TrainOptions(epochs=30, steps_per_epoch=10))
             assert run.planner_calls == 1
             plans = [r.plan for r in run.records if r.plan is not None]
             assert len(set(id(p) for p in plans)) == 1
 
     def test_static_under_plans_after_one_epoch(self):
         suite = generate_suite(small_config(), 21)
-        run = train_baseline(suite, Strategy.STATIC_UNDER, FAST)
+        run = train(suite, Strategy.STATIC_UNDER, FAST)
         assert run.records[0].plan is None
         assert run.records[1].plan is not None
 
     def test_static_over_warms_up_three_times_longer(self):
         suite = generate_suite(small_config(), 22)
         options = TrainOptions(epochs=40, steps_per_epoch=10)
-        exact = train_baseline(suite, Strategy.STATIC_EXACT, options)
-        over = train_baseline(suite, Strategy.STATIC_OVER, options)
+        exact = train(suite, Strategy.STATIC_EXACT, options)
+        over = train(suite, Strategy.STATIC_OVER, options)
 
         def warmup_epochs(run):
             return next(r.epoch for r in run.records if r.plan is not None)
@@ -211,16 +225,35 @@ class TestBaselines:
     def test_total_samples_recomputable_from_the_log(self):
         suite = generate_suite(small_config(), 23)
         for strategy in (Strategy.TARGET_ONLY, Strategy.ALL_SOURCES, Strategy.STATIC_EXACT):
-            run = train_baseline(suite, strategy, FAST)
+            run = train(suite, strategy, FAST)
             assert run.total_samples == sum(r.samples_used for r in run.records)
 
     def test_pooling_identical_data_beats_one_shot_target_only(self):
         cfg = small_config(shots=1, deltas=(0.0, 0.0), val_size=60)
         suite = generate_suite(cfg, 24)
         opts = TrainOptions(epochs=15, steps_per_epoch=15)
-        target_only = train_baseline(suite, Strategy.TARGET_ONLY, opts)
-        pooled = train_baseline(suite, Strategy.ALL_SOURCES, opts)
+        target_only = train(suite, Strategy.TARGET_ONLY, opts)
+        pooled = train(suite, Strategy.ALL_SOURCES, opts)
         assert pooled.test_accuracy_at_best > target_only.test_accuracy_at_best
+
+
+class TestSoftmaxStep:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_epoch_is_bit_equal_to_the_reference(self, seed):
+        from transfer_budget.trainer import _Loop
+
+        suite = generate_suite(small_config(), seed)
+        options = TrainOptions(steps_per_epoch=7, learning_rate=0.8)
+        loop = _Loop(suite, options, Strategy.TARGET_ONLY)
+        pool = suite.pools[seed % 2]
+        batch = (np.concatenate([suite.train[0], pool[0][:50 * seed]]),
+                 np.concatenate([suite.train[1], pool[1][:50 * seed]]))
+        weights = loop.weights.copy()
+        loss = loop.run_epoch(batch)
+        for _ in range(options.steps_per_epoch):
+            weights -= options.learning_rate * _nll_gradient(weights, *batch)
+        assert loop.weights.tobytes() == weights.tobytes()
+        assert loss == _nll(weights, *batch)
 
 
 class TestEarlyStopping:

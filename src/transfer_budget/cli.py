@@ -79,7 +79,10 @@ def _as_int(value, path: str, minimum=None) -> int:
 def _as_number(value, path: str, minimum=None, strict: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(path, "integer too large for a float") from None
     if not np.isfinite(value):
         raise ConfigError(path, f"expected a finite number, got {value}")
     if minimum is not None and (value < minimum or (strict and value == minimum)):
@@ -95,6 +98,8 @@ def _as_bool(value, path: str) -> bool:
 
 
 def _build_family(cfg: dict, path: str) -> Family:
+    if not isinstance(cfg, dict):
+        raise ConfigError(path, "expected an object")
     kind = _get(cfg, path, "kind", required=True)
     if kind == "gaussian":
         return GaussianMean(
@@ -116,11 +121,10 @@ def _build_family(cfg: dict, path: str) -> Family:
 
 
 def _parse_theta(value, dim: int, path: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    entries = value if isinstance(value, list) else [value]
+    arr = np.array([_as_number(v, path) for v in entries], dtype=np.float64)
     if arr.shape != (dim,):
         raise ConfigError(path, f"expected {dim} entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(path, "entries must be finite")
     return arr
 
 

@@ -28,9 +28,9 @@ __all__ = [
 ]
 
 
-#: softmax gradient-ascent stopping rule: ``max|grad| < _MLE_TOL`` or this many iterations
+#: softmax Newton stopping rule: ``max|grad| < _MLE_TOL``, at most this many steps
 _MLE_TOL = 1e-8
-_MLE_MAX_ITER = 10_000
+_MLE_MAX_ITER = 100
 
 
 class InsufficientDataError(ValueError):
@@ -71,6 +71,8 @@ class MLEFit:
 
     A batched fit has one parameter row per trial, ``smoothed`` says whether
     any trial's fit was smoothed, and the log-likelihood is not computed.
+    ``converged`` is true for every closed-form fit; a softmax fit sets it to
+    ``grad_inf_norm < 1e-8``.
     """
 
     theta: np.ndarray
@@ -78,46 +80,73 @@ class MLEFit:
     iterations: int = 0
     grad_inf_norm: float = 0.0
     log_likelihood: float = float("nan")
+    converged: bool = True
 
 
 def _softmax_mle(family, x) -> MLEFit:
-    """Gradient ascent on the average log-likelihood with backtracking halving.
+    """Damped Newton ascent on the mean conditional log-likelihood.
 
-    The initial step comes from the curvature bound of the multinomial
-    logistic loss (half the top eigenvalue of the feature second moment), so
-    plain ascent is stable; halving only triggers on non-improvement.
+    Starts at zero. Each step solves the Newton system with the negative
+    Hessian ``H`` and halves the step until the value does not fall. The
+    likelihood is flat along "add the same vector to every class row", so
+    the system is solved with ``H`` plus the projector onto that direction,
+    and the step's mean class row is removed: every column of the weights
+    keeps summing to zero over the classes. The solve is a least-squares
+    one, so a pool whose features span fewer than ``feature_dim`` directions
+    takes no step along the ones it lacks. The fit stops once
+    ``max|grad| < 1e-8``, after ``_MLE_MAX_ITER`` steps, or when no halving
+    keeps the value from falling; ``converged`` says whether the first
+    happened, and ``iterations`` counts the steps taken. Line-search values
+    use :meth:`SoftmaxRegression.class_log_probs` alone; the full
+    ``log_prob`` runs once, for ``log_likelihood``.
     """
-    features, _ = x
-    n = features.shape[0]
-    moment = features.T @ features / n
-    lipschitz = 0.5 * float(np.linalg.eigvalsh(moment)[-1])
-    step = 1.0 / max(lipschitz, 1e-12)
+    features, labels = family._obs(x)
+    n, c, f = labels.shape[0], family.num_classes, family.feature_dim
+    rows = np.arange(n)
+    null_projector = np.kron(np.full((c, c), 1.0 / c), np.eye(f))
 
-    theta = np.zeros(family.dim)
-    value = family.log_prob(theta, x).mean()
-    grad = family.score(theta, x).mean(axis=0)
+    def evaluate(weights):
+        log_p = family.class_log_probs(weights, features)
+        return log_p[rows, labels].mean(), np.exp(log_p)
+
+    weights = np.zeros((c, f))
+    value, p = evaluate(weights)
     iterations = 0
-    for iterations in range(1, _MLE_MAX_ITER + 1):
-        if float(np.abs(grad).max()) < _MLE_TOL:
+    while True:
+        resid = -p
+        resid[rows, labels] += 1.0
+        grad = resid.T @ features / n
+        grad_inf_norm = float(np.abs(grad).max())
+        if grad_inf_norm < _MLE_TOL or iterations == _MLE_MAX_ITER:
             break
-        improved = False
-        while step >= 1e-16:
-            candidate = theta + step * grad
-            cand_value = family.log_prob(candidate, x).mean()
+        z = (p[:, :, None] * features[:, None, :]).reshape(n, c * f)
+        hessian = -(z.T @ z)
+        for k in range(c):
+            block = slice(k * f, (k + 1) * f)
+            hessian[block, block] += z[:, block].T @ features
+        hessian /= n
+        step = np.linalg.lstsq(hessian + null_projector, grad.ravel(), rcond=None)[0]
+        step = step.reshape(c, f)
+        step -= step.mean(axis=0)
+        scale = 1.0
+        while scale >= 1e-16:
+            candidate = weights + scale * step
+            cand_value, cand_p = evaluate(candidate)
             if cand_value >= value:
-                improved = True
                 break
-            step *= 0.5
-        if not improved:
+            scale *= 0.5
+        else:
             break
-        theta, value = candidate, cand_value
-        grad = family.score(theta, x).mean(axis=0)
+        weights, value, p = candidate, cand_value, cand_p
+        iterations += 1
+    theta = weights.ravel()
     return MLEFit(
         theta=theta,
         smoothed=False,
         iterations=iterations,
-        grad_inf_norm=float(np.abs(grad).max()),
-        log_likelihood=float(value),
+        grad_inf_norm=grad_inf_norm,
+        log_likelihood=float(family.log_prob(theta, x).mean()),
+        converged=grad_inf_norm < _MLE_TOL,
     )
 
 
@@ -126,8 +155,9 @@ def pooled_mle(family: Family, data: PooledData) -> MLEFit:
 
     Families with sufficient statistics use their closed form (frequency cells
     that would map to infinite logits get 0.5 additive smoothing and the fit
-    is flagged); softmax regression is fit by gradient ascent with stopping
-    rule ``max|grad| < 1e-8`` or 10,000 iterations.
+    is flagged); softmax regression is fit by damped Newton steps until
+    ``max|grad| < 1e-8``, for at most 100 steps. A fit that stops short sets
+    ``converged`` to false rather than raising.
     """
     if data.batched:
         return _batched_mle(family, data)

@@ -270,6 +270,34 @@ class TestBadConfigs:
         assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "family.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg,field", [
+        ({"n0": 10, "theta0": "abc", "sources": []}, "theta0"),
+        ({"n0": 10, "theta0": {"x": 1}, "sources": []}, "theta0"),
+        ({"n0": 10, "sources": [{"name": "s", "theta": ["x"], "cap": 5}]}, "sources[0].theta"),
+        ({"n0": 10, "sources": [{"name": "s", "delta": 0.1, "cap": 5},
+                                {"name": "t", "theta": [[1.0], 2.0], "cap": 5}]},
+         "sources[1].theta"),
+        ({"n0": 10, "theta0": True, "sources": []}, "theta0"),
+        ({"n0": 10, "theta0": 10**400, "sources": []}, "theta0"),
+        ({"n0": 10, "sources": [{"name": "s", "theta": [float("nan")], "cap": 5}]},
+         "sources[0].theta"),
+        ({"n0": 10, "sources": [{"name": "s", "delta": 10**400, "cap": 5}]}, "sources[0].delta"),
+    ], ids=["theta0-string", "theta0-object", "source-string-entry", "source-ragged",
+            "theta0-boolean", "theta0-huge-integer", "source-nan", "delta-huge-integer"])
+    def test_non_numeric_values_report_path(self, tmp_path, capsys, cfg, field):
+        path = write_config(tmp_path, cfg)
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error at {field}:")
+
+    @pytest.mark.parametrize("family", ["kind", "gaussian", ["gaussian"], 3, None],
+                             ids=["string-kind", "string-gaussian", "list", "number", "null"])
+    def test_non_object_family_reports_path(self, tmp_path, capsys, family):
+        path = write_config(tmp_path, {"family": family, "n0": 10, "sources": []})
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error at family: expected an object"]
+
     CURVE = {"family": {"kind": "gaussian"}, "n0": 100, "sources": [],
              "curve": {"cap": 200, "grid_points": 11}}
 

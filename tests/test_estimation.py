@@ -1,8 +1,11 @@
 """Pooled MLE, empirical Fisher and quadratic-form accumulator contracts."""
 
+import time
+
 import numpy as np
 import pytest
 
+from transfer_budget import estimation
 from transfer_budget.estimation import (
     FisherMode,
     InsufficientDataError,
@@ -18,6 +21,39 @@ from transfer_budget.families import (
     GaussianMean,
     SoftmaxRegression,
 )
+from transfer_budget.trainer import SuiteConfig, generate_suite
+
+#: criterion 9's suites: seeds 1..10 of this config, three 1200-sample pools each
+CRITERION_9 = SuiteConfig(shots=10, deltas=(0.0, 0.5, 2.0))
+
+
+def _gradient_ascent_oracle(family, x):
+    """The softmax fit as it was before Newton steps: gradient ascent from
+    zero with backtracking halving, stopped at ``max|grad| < 1e-8``.
+
+    Returns the parameter and the mean log-likelihood.
+    """
+    features, _ = x
+    n = features.shape[0]
+    moment = features.T @ features / n
+    step = 1.0 / max(0.5 * float(np.linalg.eigvalsh(moment)[-1]), 1e-12)
+    theta = np.zeros(family.dim)
+    value = family.log_prob(theta, x).mean()
+    grad = family.score(theta, x).mean(axis=0)
+    for _ in range(10_000):
+        if float(np.abs(grad).max()) < 1e-8:
+            break
+        while step >= 1e-16:
+            candidate = theta + step * grad
+            cand_value = family.log_prob(candidate, x).mean()
+            if cand_value >= value:
+                break
+            step *= 0.5
+        else:
+            break
+        theta, value = candidate, cand_value
+        grad = family.score(theta, x).mean(axis=0)
+    return theta, float(value)
 
 
 class TestPooledMLE:
@@ -85,6 +121,60 @@ class TestPooledMLE:
         oracle_ll = sm.log_prob(theta, data).mean()
 
         assert fit.log_likelihood == pytest.approx(oracle_ll, abs=1e-6)
+
+    def test_closed_form_fits_are_converged(self):
+        fit = pooled_mle(GaussianMean(), PooledData(target=np.array([0.5, 1.5])))
+        assert fit.converged
+
+
+class TestSoftmaxNewton:
+    def test_matches_gradient_ascent_on_suite_1(self):
+        suite = generate_suite(CRITERION_9, 1)
+        for pool in suite.pools:
+            fit = pooled_mle(suite.family, PooledData(target=pool))
+            theta, value = _gradient_ascent_oracle(suite.family, pool)
+            assert abs(fit.log_likelihood - value) <= 1e-12
+            np.testing.assert_allclose(fit.theta, theta, rtol=0, atol=1e-6)
+
+    def test_every_criterion_9_pool_converges_with_balanced_columns(self):
+        for seed in range(1, 11):
+            suite = generate_suite(CRITERION_9, seed)
+            for pool in suite.pools:
+                fit = pooled_mle(suite.family, PooledData(target=pool))
+                assert fit.converged and fit.grad_inf_norm < 1e-8
+                assert fit.iterations <= estimation._MLE_MAX_ITER
+                column_sums = fit.theta.reshape(5, 3).sum(axis=0)
+                np.testing.assert_allclose(column_sums, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_separable_pools_return_within_the_cap(self, n):
+        """No finite maximizer exists; the fit still returns quickly and its
+        flag agrees with its gradient."""
+        sm = SoftmaxRegression(feature_dim=3, num_classes=5)
+        features = np.random.default_rng(n).normal(size=(n, 3))
+        pool = (features, np.arange(n) % 5)
+        start = time.perf_counter()
+        fit = pooled_mle(sm, PooledData(target=pool))
+        assert time.perf_counter() - start < 0.1
+        assert fit.iterations <= estimation._MLE_MAX_ITER
+        assert fit.converged == (fit.grad_inf_norm < 1e-8)
+        assert np.isfinite(fit.theta).all() and np.isfinite(fit.log_likelihood)
+
+    def test_halving_reaches_a_far_optimum(self):
+        """Weights of scale 30 put the optimum far from zero: on this pool
+        full Newton steps overshoot and diverge, and the halved steps do not."""
+        sm = SoftmaxRegression(feature_dim=2, num_classes=3)
+        rng = np.random.default_rng(17)
+        pool = sm.sample(30 * rng.normal(size=sm.dim), rng, 40)
+        fit = pooled_mle(sm, PooledData(target=pool))
+        assert fit.converged and fit.iterations <= estimation._MLE_MAX_ITER
+
+    def test_step_cap_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MLE_MAX_ITER", 1)
+        suite = generate_suite(CRITERION_9, 1)
+        fit = pooled_mle(suite.family, PooledData(target=suite.pools[0]))
+        assert fit.iterations == 1
+        assert not fit.converged and fit.grad_inf_norm >= 1e-8
 
 
 class TestEmpiricalFisher:

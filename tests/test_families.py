@@ -93,6 +93,30 @@ class TestScore:
             np.testing.assert_allclose(analytic, numeric, atol=1e-6 * scale)
 
 
+def _log_softmax_reference(weights, features):
+    """``class_log_probs`` as it was written with a row-wise ``max``."""
+    logits = features @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+class TestClassLogProbs:
+    @pytest.mark.parametrize("num_classes", range(2, 13))
+    @pytest.mark.parametrize("n", [1, 40, 4000])
+    def test_bit_equal_to_the_row_max_formula(self, num_classes, n):
+        rng = np.random.default_rng([num_classes, n])
+        features = rng.normal(size=(n, 3))
+        weights = rng.normal(size=(num_classes, 3))
+        tied = weights.copy()
+        tied[1::2] = tied[0]  # every other class row ties with the first
+        cases = [weights, tied, np.zeros_like(weights), 1e3 * weights, -1e3 * weights,
+                 1e3 * tied]
+        for w in cases:
+            expected = _log_softmax_reference(w, features)
+            got = SoftmaxRegression.class_log_probs(w, features)
+            assert np.array_equal(got, expected)
+
+
 class TestSampling:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
     def test_deterministic_given_seed(self, family):

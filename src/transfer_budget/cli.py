@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,136 +56,213 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# config access helpers
+# config schema: one parser and default per field; cross-field rules in RunSpec
 # --------------------------------------------------------------------------
 
-def _get(cfg: dict, path: str, key: str, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(_join(path, key), "missing required field")
-        return default
-    return cfg[key]
+#: upper bound of every integer field but ``seed`` and ``trainer.seeds``
+INT64_MAX = 2**63 - 1
+#: default of a field that must be given
+REQUIRED = object()
+#: default of a field left out when absent: a fallback or a dataclass default applies
+ABSENT = object()
+
 
 def _join(path: str, key: str) -> str:
     return key if not path else f"{path}.{key}"
 
 
-def _as_int(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    return value
+def _int(minimum: int, maximum: int | None = INT64_MAX):
+    def parse(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(path, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(path, f"must be <= {maximum}, got {value}")
+        return value
+    return parse
 
 
-def _as_number(value, path: str, minimum=None, strict: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(path, "integer too large for a float") from None
-    if not np.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value}")
-    if minimum is not None and (value < minimum or (strict and value == minimum)):
-        op = ">" if strict else ">="
-        raise ConfigError(path, f"must be {op} {minimum}, got {value}")
-    return value
+def _number(minimum: float | None = None, strict: bool = False):
+    def parse(value, path: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(path, "integer too large for a float") from None
+        if not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value}")
+        if minimum is not None and (value < minimum or (strict and value == minimum)):
+            raise ConfigError(path, f"must be {'>' if strict else '>='} {minimum}, got {value}")
+        return value
+    return parse
 
 
-def _as_bool(value, path: str) -> bool:
+def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(path, f"expected true or false, got {value!r}")
     return value
 
 
-def _build_family(cfg: dict, path: str) -> Family:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    kind = _get(cfg, path, "kind", required=True)
-    if kind == "gaussian":
-        return GaussianMean(
-            sigma=_as_number(cfg.get("sigma", 1.0), _join(path, "sigma"), 0.0, strict=True),
-            dim=_as_int(cfg.get("dim", 1), _join(path, "dim"), 1),
-        )
-    if kind == "bernoulli":
-        return BernoulliLogit()
-    if kind == "categorical":
-        return CategoricalLogits(
-            num_classes=_as_int(cfg.get("num_classes", 3), _join(path, "num_classes"), 2)
-        )
-    if kind == "softmax":
-        return SoftmaxRegression(
-            feature_dim=_as_int(cfg.get("feature_dim", 3), _join(path, "feature_dim"), 1),
-            num_classes=_as_int(cfg.get("num_classes", 3), _join(path, "num_classes"), 2),
-        )
-    raise ConfigError(_join(path, "kind"), f"unknown family kind {kind!r}")
+def _name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a nonempty string")
+    return value
 
 
-def _parse_theta(value, dim: int, path: str) -> np.ndarray:
+def _one_of(*members):
+    """Parser of an enum member given by its value."""
+    by_value = {m.value: m for m in members}
+
+    def parse(value, path: str):
+        if isinstance(value, str) and value in by_value:
+            return by_value[value]
+        raise ConfigError(path, f"expected one of {', '.join(by_value)}, got {value!r}")
+    return parse
+
+
+def _theta(value, path: str) -> np.ndarray:
+    """A number or a list of numbers; RunSpec checks its length against the family."""
     entries = value if isinstance(value, list) else [value]
-    arr = np.array([_as_number(v, path) for v in entries], dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ConfigError(path, f"expected {dim} entries, got shape {arr.shape}")
-    return arr
+    finite = _number()
+    return np.array([finite(v, path) for v in entries], dtype=np.float64)
+
+
+def _list(item, nonempty: bool = True):
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ConfigError(path, f"expected a {'nonempty ' if nonempty else ''}list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    parse.item = item
+    return parse
+
+
+def _object(fields: dict):
+    """Parser of an object with ``fields``: key -> (parser, default).
+
+    Unknown keys are rejected, a missing required key is named, and a default
+    (a JSON value) is parsed as if it had been given.
+    """
+    def parse(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(path or "<config>", "expected an object")
+        for key in value:
+            if key not in fields:
+                raise ConfigError(_join(path, key), "unknown field")
+        out = {}
+        for key, (parser, default) in fields.items():
+            if key in value:
+                out[key] = parser(value[key], _join(path, key))
+            elif default is REQUIRED:
+                raise ConfigError(_join(path, key), "missing required field")
+            elif default is not ABSENT:
+                out[key] = parser(default, _join(path, key))
+        return out
+    parse.fields = fields
+    return parse
+
+
+def _family(kinds: dict):
+    """Parser of a family object: ``kind`` picks the class and its other fields."""
+    def parse(value, path: str) -> Family:
+        if not isinstance(value, dict):
+            raise ConfigError(path, "expected an object")
+        if "kind" not in value:
+            raise ConfigError(_join(path, "kind"), "missing required field")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(_join(path, "kind"), f"unknown family kind {kind!r}")
+        cls, fields = kinds[kind]
+        rest = {key: v for key, v in value.items() if key != "kind"}
+        return cls(**_object(fields)(rest, path))
+    parse.kinds = kinds
+    return parse
+
+
+#: The whole config. Trainer fields default to the ``SuiteConfig`` and
+#: ``TrainOptions`` defaults; ``trainer.stepnumber`` is ``step_number`` there.
+CONFIG = _object({
+    "seed": (_int(0, None), 0),
+    "workers": (_int(1), 1),
+    "family": (_family({
+        "gaussian": (GaussianMean, {"sigma": (_number(0.0, strict=True), 1.0),
+                                    "dim": (_int(1), 1)}),
+        "bernoulli": (BernoulliLogit, {}),
+        "categorical": (CategoricalLogits, {"num_classes": (_int(2), 3)}),
+        "softmax": (SoftmaxRegression, {"feature_dim": (_int(1), 3),
+                                        "num_classes": (_int(2), 3)}),
+    }), {"kind": "gaussian"}),
+    "n0": (_int(1), 100),
+    "theta0": (_theta, ABSENT),
+    "sources": (_list(_object({
+        "name": (_name, REQUIRED),
+        "cap": (_int(1), REQUIRED),
+        "theta": (_theta, ABSENT),
+        "delta": (_number(0.0), ABSENT),
+    }), nonempty=False), []),
+    "stepnumber": (_int(1), 1000),
+    "trials": (_int(MIN_TRIALS), 20_000),
+    "calibration_samples": (_int(1_000), 100_000),
+    "fisher_mode": (_one_of(*FisherMode), "analytic"),
+    "curve": (_object({
+        "grid_points": (_int(2), 101),
+        "t": (_number(0.0), ABSENT),
+        "cap": (_int(1), ABSENT),
+    }), {}),
+    "verify": (_object({
+        "grid_step": (_int(1), 10),
+        "z_threshold": (_number(0.0, strict=True), 3.0),
+        "min_pass_fraction": (_number(0.0), 0.95),
+    }), {}),
+    "trainer": (_object({
+        "feature_dim": (_int(1), ABSENT),
+        "num_classes": (_int(2), ABSENT),
+        "shots": (_int(1), ABSENT),
+        "deltas": (_list(_number(0.0)), ABSENT),
+        "pool_sizes": (_list(_int(1)), ABSENT),
+        "test_size": (_int(1), ABSENT),
+        "val_size": (_int(1), ABSENT),
+        "prior_scale": (_number(0.0), ABSENT),
+        "epochs": (_int(1), ABSENT),
+        "patience": (_int(1), ABSENT),
+        "learning_rate": (_number(0.0, strict=True), ABSENT),
+        "steps_per_epoch": (_int(1), ABSENT),
+        "stepnumber": (_int(1), ABSENT),
+        "fisher_mode": (_one_of(FisherMode.PER_SAMPLE, FisherMode.BATCH), ABSENT),
+        "target_only_fisher": (_bool, ABSENT),
+        "init_scale": (_number(0.0), ABSENT),
+        "strategies": (_list(_one_of(*Strategy)), ["dynamic"]),
+        "seeds": (_list(_int(0, None)), ABSENT),
+    }), {}),
+})
+
+
+def _fit_dim(theta: np.ndarray, dim: int, path: str) -> np.ndarray:
+    if theta.shape != (dim,):
+        raise ConfigError(path, f"expected {dim} entries, got shape {theta.shape}")
+    return theta
 
 
 class RunSpec:
-    """Validated config: family, target parameter, sources and knobs."""
+    """The validated config, one attribute per top-level field, with
+    ``theta0`` filled in and every source's ``theta`` resolved."""
 
-    def __init__(self, cfg: dict):
-        if not isinstance(cfg, dict):
-            raise ConfigError("", "top level must be a JSON object")
-        self.seed = _as_int(cfg.get("seed", 0), "seed", 0)
-        self.workers = _as_int(cfg.get("workers", 1), "workers", 1)
-        self.family = _build_family(_get(cfg, "", "family", default={"kind": "gaussian"}), "family")
-        self.n0 = _as_int(_get(cfg, "", "n0", default=100), "n0", 1)
-        self.step_number = _as_int(cfg.get("stepnumber", 1000), "stepnumber", 1)
-        self.trials = _as_int(cfg.get("trials", 20_000), "trials", MIN_TRIALS)
-        self.calibration_samples = _as_int(
-            cfg.get("calibration_samples", 100_000), "calibration_samples", 1_000
-        )
-        mode = cfg.get("fisher_mode", "analytic")
-        try:
-            self.fisher_mode = FisherMode(mode)
-        except ValueError:
-            raise ConfigError("fisher_mode", f"unknown mode {mode!r}") from None
-
-        if "theta0" in cfg:
-            self.theta0 = _parse_theta(cfg["theta0"], self.family.dim, "theta0")
-        else:
-            self.theta0 = np.zeros(self.family.dim)
-
-        self.source_names: list[str] = []
-        self.source_caps: list[int] = []
-        self.source_thetas: list[np.ndarray] = []
-        sources = cfg.get("sources", [])
-        if not isinstance(sources, list):
-            raise ConfigError("sources", "expected a list")
-        for i, src in enumerate(sources):
-            spath = f"sources[{i}]"
-            if not isinstance(src, dict):
-                raise ConfigError(spath, "expected an object")
-            name = _get(src, spath, "name", required=True)
-            if not isinstance(name, str) or not name:
-                raise ConfigError(_join(spath, "name"), "expected a nonempty string")
-            if name in self.source_names:
-                raise ConfigError(_join(spath, "name"), f"duplicate source name {name!r}")
-            cap = _as_int(_get(src, spath, "cap", required=True), _join(spath, "cap"), 1)
-            if "theta" in src and "delta" in src:
-                raise ConfigError(spath, "give either theta or delta, not both")
-            if "theta" in src:
-                theta = _parse_theta(src["theta"], self.family.dim, _join(spath, "theta"))
-            elif "delta" in src:
-                delta = _as_number(src["delta"], _join(spath, "delta"), 0.0)
-                theta = self.theta0 + delta * self._direction(i)
-            else:
-                raise ConfigError(spath, "missing theta or delta")
-            self.source_names.append(name)
-            self.source_caps.append(cap)
-            self.source_thetas.append(theta)
-
-        self.raw = cfg
+    def __init__(self, raw):
+        vars(self).update(CONFIG(raw, ""))
+        dim = self.family.dim
+        self.theta0 = _fit_dim(vars(self).get("theta0", np.zeros(dim)), dim, "theta0")
+        for i, src in enumerate(self.sources):
+            path = f"sources[{i}]"
+            if src["name"] in [earlier["name"] for earlier in self.sources[:i]]:
+                raise ConfigError(f"{path}.name", f"duplicate source name {src['name']!r}")
+            if ("theta" in src) == ("delta" in src):
+                raise ConfigError(path, "give exactly one of theta and delta")
+            src["theta"] = (_fit_dim(src["theta"], dim, f"{path}.theta") if "theta" in src
+                            else self.theta0 + src["delta"] * self._direction(i))
+        deltas = self.trainer.get("deltas", SuiteConfig.deltas)
+        if len(self.trainer.get("pool_sizes", SuiteConfig.pool_sizes)) != len(deltas):
+            raise ConfigError("trainer.pool_sizes", "must match deltas in length")
 
     def _direction(self, index: int) -> np.ndarray:
         d = self.family.dim
@@ -196,16 +275,12 @@ class RunSpec:
     def fisher(self):
         """Closed-form Fisher at theta0, or the per-sample estimate from a
         seeded calibration sample when no closed form exists."""
-        if self.fisher_mode is FisherMode.ANALYTIC:
+        mode = self.fisher_mode
+        if mode is FisherMode.ANALYTIC:
             try:
-                return empirical_fisher(self.family, self.theta0, None, FisherMode.ANALYTIC)
+                return empirical_fisher(self.family, self.theta0, None, mode)
             except FisherUnavailableError:
-                pass
-        mode = (
-            FisherMode.PER_SAMPLE
-            if self.fisher_mode is FisherMode.ANALYTIC
-            else self.fisher_mode
-        )
+                mode = FisherMode.PER_SAMPLE
         rng = np.random.default_rng([self.seed, _TAG_CALIBRATION])
         calibration = self.family.sample(self.theta0, rng, self.calibration_samples)
         return empirical_fisher(self.family, self.theta0, calibration, mode)
@@ -238,26 +313,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_plan(spec: RunSpec, out: Path) -> int:
     rows: list[list] = []
-    if not spec.source_names:
+    if not spec.sources:
         s_star, predicted = 0, 0.5 * spec.family.dim / spec.n0
     else:
-        gram = offset_gram(spec.fisher(), spec.theta0, spec.source_thetas)
+        gram = offset_gram(spec.fisher(), spec.theta0, [src["theta"] for src in spec.sources])
         try:
             problem = TransferProblem(
                 n0=spec.n0,
                 dim=spec.family.dim,
-                caps=np.array(spec.source_caps),
+                caps=np.array([src["cap"] for src in spec.sources]),
                 gram=gram,
-                step_number=spec.step_number,
+                step_number=spec.stepnumber,
             )
-        except ValueError as exc:  # e.g. thetas so far apart that the Gram overflows
-            raise ConfigError("sources", f"unusable Gram matrix of the offsets: {exc}") from None
+        except ValueError as exc:  # caps too large, or a Gram that overflows
+            raise ConfigError("sources", str(exc)) from None
         plan = plan_transfer(problem)
         s_star, predicted = plan.s_star, plan.predicted_proxy
-        for name, cap, alpha, n in zip(
-            spec.source_names, spec.source_caps, plan.alpha_star, plan.n_star
-        ):
-            rows.append([name, cap, alpha, n])
+        for src, alpha, n in zip(spec.sources, plan.alpha_star, plan.n_star):
+            rows.append([src["name"], src["cap"], alpha, n])
     rows.append(["s_star", s_star, "predicted_proxy", predicted])
     _write_csv(out / "plan.csv", ["source_name", "cap", "alpha_star", "n_star"], rows)
     print(f"plan: s_star={s_star} predicted_proxy={_fmt(predicted)}")
@@ -266,51 +339,40 @@ def cmd_plan(spec: RunSpec, out: Path) -> int:
     return EXIT_OK
 
 
-def _curve_settings(spec: RunSpec):
-    cfg = spec.raw.get("curve", {})
-    if not isinstance(cfg, dict):
-        raise ConfigError("curve", "expected an object")
-    grid_points = _as_int(cfg.get("grid_points", 101), "curve.grid_points", 2)
-    if "t" in cfg:
-        t = _as_number(cfg["t"], "curve.t", 0.0)
-    elif spec.source_thetas:
-        t = discrepancy(spec.fisher(), spec.theta0, spec.source_thetas[0])
+def cmd_curve(spec: RunSpec, out: Path) -> int:
+    if "t" in spec.curve:
+        t = spec.curve["t"]
+    elif spec.sources:
+        t = discrepancy(spec.fisher(), spec.theta0, spec.sources[0]["theta"])
         if not np.isfinite(t):  # e.g. thetas so far apart that the discrepancy overflows
             raise ConfigError("sources", f"unusable discrepancy of the first source: {t}")
     else:
         raise ConfigError("curve.t", "needs an explicit t when no sources are given")
-    if "cap" in cfg:
-        cap = _as_int(cfg["cap"], "curve.cap", 1)
-    elif spec.source_caps:
-        cap = spec.source_caps[0]
+    if "cap" in spec.curve:
+        cap, cap_path = spec.curve["cap"], "curve.cap"
+    elif spec.sources:
+        cap, cap_path = spec.sources[0]["cap"], "sources"
     else:
         raise ConfigError("curve.cap", "needs a cap when no sources are given")
-    return t, cap, grid_points
-
-
-def cmd_curve(spec: RunSpec, out: Path) -> int:
-    t, cap, grid_points = _curve_settings(spec)
-    curve = regime_curve(spec.n0, cap, t, grid_points)
+    try:
+        curve = regime_curve(spec.n0, cap, t, spec.curve["grid_points"])
+    except ValueError as exc:  # a cap too large for exact float64 quantities
+        raise ConfigError(cap_path, str(exc)) from None
     rows = [[int(n), v, curve.regime.value] for n, v in zip(curve.quantities, curve.values)]
     _write_csv(out / "curve.csv", ["n1", "proxy", "regime"], rows)
     print(f"curve: {len(rows)} points, regime={curve.regime.value}")
     return EXIT_OK
 
 
-def cmd_verify(spec: RunSpec, out: Path, workers: int) -> int:
-    if len(spec.source_thetas) != 1:
+def cmd_verify(spec: RunSpec, out: Path) -> int:
+    if len(spec.sources) != 1:
         raise ConfigError("sources", "verify sweeps exactly one source")
-    cfg = spec.raw.get("verify", {})
-    if not isinstance(cfg, dict):
-        raise ConfigError("verify", "expected an object")
-    grid_step = _as_int(cfg.get("grid_step", 10), "verify.grid_step", 1)
-    z_threshold = _as_number(cfg.get("z_threshold", 3.0), "verify.z_threshold", 0.0, strict=True)
-    min_pass = _as_number(cfg.get("min_pass_fraction", 0.95), "verify.min_pass_fraction", 0.0)
-
+    z_threshold = spec.verify["z_threshold"]
+    min_pass = spec.verify["min_pass_fraction"]
     try:
         result = sweep_n1(
-            spec.family, spec.theta0, spec.source_thetas[0], spec.n0,
-            spec.source_caps[0], grid_step, spec.trials, spec.seed, workers,
+            spec.family, spec.theta0, spec.sources[0]["theta"], spec.n0,
+            spec.sources[0]["cap"], spec.verify["grid_step"], spec.trials, spec.seed, spec.workers,
         )
     except FisherUnavailableError as exc:
         raise ConfigError("family.kind",
@@ -339,72 +401,13 @@ def cmd_verify(spec: RunSpec, out: Path, workers: int) -> int:
     return EXIT_OK if pass_fraction >= min_pass else EXIT_GATE
 
 
-def _trainer_settings(spec: RunSpec):
-    cfg = spec.raw.get("trainer", {})
-    if not isinstance(cfg, dict):
-        raise ConfigError("trainer", "expected an object")
-    path = "trainer"
-
-    deltas = cfg.get("deltas", list(SuiteConfig().deltas))
-    pools = cfg.get("pool_sizes", list(SuiteConfig().pool_sizes))
-    if not isinstance(deltas, list) or not deltas:
-        raise ConfigError(_join(path, "deltas"), "expected a nonempty list")
-    if not isinstance(pools, list) or len(pools) != len(deltas):
-        raise ConfigError(_join(path, "pool_sizes"), "must match deltas in length")
-    deltas = [
-        _as_number(v, f"{path}.deltas[{i}]", 0.0) for i, v in enumerate(deltas)
-    ]
-    pools = [
-        _as_int(v, f"{path}.pool_sizes[{i}]", 1) for i, v in enumerate(pools)
-    ]
-    suite = SuiteConfig(
-        feature_dim=_as_int(cfg.get("feature_dim", 3), _join(path, "feature_dim"), 1),
-        num_classes=_as_int(cfg.get("num_classes", 5), _join(path, "num_classes"), 2),
-        shots=_as_int(cfg.get("shots", 10), _join(path, "shots"), 1),
-        deltas=tuple(deltas),
-        pool_sizes=tuple(pools),
-        test_size=_as_int(cfg.get("test_size", 2000), _join(path, "test_size"), 1),
-        val_size=_as_int(cfg.get("val_size", 200), _join(path, "val_size"), 1),
-        prior_scale=_as_number(cfg.get("prior_scale", 1.3), _join(path, "prior_scale"), 0.0),
-    )
-    mode = cfg.get("fisher_mode", "per_sample")
-    if mode not in ("per_sample", "batch"):
-        raise ConfigError(_join(path, "fisher_mode"), f"expected per_sample or batch, got {mode!r}")
-    options = TrainOptions(
-        epochs=_as_int(cfg.get("epochs", 60), _join(path, "epochs"), 1),
-        patience=_as_int(cfg.get("patience", 5), _join(path, "patience"), 1),
-        learning_rate=_as_number(
-            cfg.get("learning_rate", 1.0), _join(path, "learning_rate"), 0.0, strict=True
-        ),
-        steps_per_epoch=_as_int(cfg.get("steps_per_epoch", 40), _join(path, "steps_per_epoch"), 1),
-        step_number=_as_int(cfg.get("stepnumber", 1000), _join(path, "stepnumber"), 1),
-        fisher_mode=FisherMode(mode),
-        target_only_fisher=_as_bool(
-            cfg.get("target_only_fisher", False), _join(path, "target_only_fisher")
-        ),
-        init_scale=_as_number(cfg.get("init_scale", 0.01), _join(path, "init_scale"), 0.0),
-    )
-
-    names = cfg.get("strategies", ["dynamic"])
-    if not isinstance(names, list) or not names:
-        raise ConfigError(_join(path, "strategies"), "expected a nonempty list")
-    strategies = []
-    for i, name in enumerate(names):
-        try:
-            strategies.append(Strategy(name))
-        except ValueError:
-            raise ConfigError(
-                f"{path}.strategies[{i}]", f"unknown strategy {name!r}"
-            ) from None
-    seeds = cfg.get("seeds", [spec.seed])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(_join(path, "seeds"), "expected a nonempty list")
-    seeds = [_as_int(s, f"{path}.seeds[{i}]", 0) for i, s in enumerate(seeds)]
-    return suite, options, strategies, seeds
-
-
 def cmd_train(spec: RunSpec, out: Path) -> int:
-    suite_cfg, options, strategies, seeds = _trainer_settings(spec)
+    settings = dict(spec.trainer)
+    strategies, seeds = settings.pop("strategies"), settings.pop("seeds", (spec.seed,))
+    suite_cfg = SuiteConfig(**{f.name: settings.pop(f.name)
+                               for f in fields(SuiteConfig) if f.name in settings})
+    options = TrainOptions(**{"step_number" if k == "stepnumber" else k: v
+                              for k, v in settings.items()})
     rows, runs = compare_strategies(suite_cfg, strategies, seeds, options)
 
     k = suite_cfg.num_sources
@@ -412,14 +415,10 @@ def cmd_train(spec: RunSpec, out: Path) -> int:
     for (strategy, seed), run in runs.items():
         lines = []
         for record in run.records:
-            alphas = (
-                list(record.plan.alpha_star) if record.plan is not None else [None] * k
-            )
-            s_star = record.plan.s_star if record.plan is not None else None
-            lines.append(
-                [record.epoch, record.train_loss, record.val_accuracy,
-                 record.samples_used, s_star] + alphas
-            )
+            plan = record.plan
+            planned = [None] * (k + 1) if plan is None else [plan.s_star, *plan.alpha_star]
+            lines.append([record.epoch, record.train_loss, record.val_accuracy,
+                          record.samples_used, *planned])
         _write_csv(
             out / "runs" / f"{strategy.value}-{seed}.csv",
             ["epoch", "train_loss", "val_acc", "samples_used", "s_star"] + alpha_cols,
@@ -477,24 +476,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error at <file>: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, encoding, or nesting
         print(f"config error at <file>: invalid JSON ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
     out = Path(args.out)
     try:
         spec = RunSpec(raw)
-        workers = args.workers if args.workers is not None else spec.workers
-        if workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {workers}")
+        if args.workers is not None:
+            spec.workers = _int(1)(args.workers, "workers")
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "plan":
-            return cmd_plan(spec, out)
-        if args.command == "curve":
-            return cmd_curve(spec, out)
-        if args.command == "verify":
-            return cmd_verify(spec, out, workers)
-        return cmd_train(spec, out)
+        command = {"plan": cmd_plan, "curve": cmd_curve, "verify": cmd_verify,
+                   "train": cmd_train}[args.command]
+        return command(spec, out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -205,7 +205,6 @@ class FisherEstimate:
 
     mode: FisherMode
     dim: int
-    sample_count: int
     factor: np.ndarray
     divisor: int = 1
 
@@ -236,15 +235,14 @@ def empirical_fisher(family: Family, theta, samples,
     if mode is FisherMode.ANALYTIC:
         w, v = np.linalg.eigh(family.fisher(theta))
         root = (v * np.sqrt(np.maximum(w, 0.0))).T
-        return FisherEstimate(mode=mode, dim=family.dim, sample_count=0, factor=root)
+        return FisherEstimate(mode=mode, dim=family.dim, factor=root)
     n = family.count(samples)
     if n == 0:
         raise InsufficientDataError("empirical Fisher needs at least one sample")
     scores = family.score(theta, samples)
     if mode is FisherMode.PER_SAMPLE:
-        return FisherEstimate(mode=mode, dim=family.dim, sample_count=n, factor=scores, divisor=n)
-    return FisherEstimate(mode=mode, dim=family.dim, sample_count=n,
-                          factor=scores.mean(axis=0, keepdims=True))
+        return FisherEstimate(mode=mode, dim=family.dim, factor=scores, divisor=n)
+    return FisherEstimate(mode=mode, dim=family.dim, factor=scores.mean(axis=0, keepdims=True))
 
 
 def offset_gram(fisher: FisherEstimate, theta0, source_params) -> np.ndarray:

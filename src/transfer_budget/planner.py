@@ -47,6 +47,9 @@ __all__ = [
 _SIGN_FLOOR = 1e-13
 #: Iteration bound of one active-set solve, per source; reaching it raises.
 _ACTIVE_SET_ITERS_PER_SOURCE = 10
+#: Bound on summed caps (and on a curve's cap): below it every transfer
+#: quantity, and the grid arithmetic on it, is exact in float64.
+_MAX_TOTAL = 2**53
 
 
 class FeasibilityError(ValueError):
@@ -124,10 +127,18 @@ class ProxyCurve:
 
 
 def regime_curve(n0: int, cap: int, t: float, grid_points: int) -> ProxyCurve:
-    """Tabulate the single-source proxy over an even grid on ``[0, cap]``."""
+    """Tabulate the single-source proxy over an even grid on ``[0, cap]``.
+
+    More than ``cap + 1`` points repeat quantities, so at most that many are
+    laid out: the grid is the same, with no allocation beyond it.
+    """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    grid = np.unique(np.floor(np.linspace(0.0, cap, grid_points) + 0.5).astype(np.int64))
+    if cap >= _MAX_TOTAL:
+        raise ValueError(f"cap must be below 2**53 = {_MAX_TOTAL}, got {cap}")
+    points = min(grid_points, cap + 1)
+    grid = np.floor(np.linspace(0.0, cap, points) + 0.5).astype(np.int64)
+    grid = np.unique(np.minimum(grid, cap))  # rounding up must not pass the cap
     plan = optimal_single(n0, cap, t)
     return ProxyCurve(
         quantities=grid,
@@ -159,6 +170,8 @@ class TransferProblem:
         k = self.caps.shape[0]
         if k < 1 or (self.caps < 1).any():
             raise ValueError("need at least one source with a positive cap")
+        if sum(int(c) for c in self.caps) >= _MAX_TOTAL:  # a Python sum cannot wrap
+            raise ValueError(f"caps must sum to less than 2**53 = {_MAX_TOTAL}")
         if self.gram.shape != (k, k):
             raise ValueError(f"gram must be {k} x {k} to match the caps")
         if not np.isfinite(self.gram).all():
@@ -443,17 +456,22 @@ def plan_transfer(problem: TransferProblem, include_curve: bool = False) -> Tran
     """
     caps = problem.caps
     total = int(caps.sum())
-    k = np.arange(1, problem.step_number + 1, dtype=np.int64)
-    grid = np.floor(k * total / problem.step_number + 0.5).astype(np.int64)
-    grid = np.unique(np.concatenate(([0], grid)))
+    if problem.step_number >= total:  # every total is a grid point
+        grid = np.arange(total + 1, dtype=np.int64)
+    else:
+        k = np.arange(1, problem.step_number + 1, dtype=np.int64)
+        grid = np.floor(k * float(total) / problem.step_number + 0.5).astype(np.int64)
+        grid = np.minimum(grid, total)  # roundoff must not lift the last total past the caps
+        grid = np.unique(np.concatenate(([0], grid)))
 
     values = np.empty(grid.shape[0])
     values[0] = 0.5 * problem.dim / problem.n0
     positive = grid[1:]
     alphas = _solve_qp_batch(problem.gram, positive, caps)
     quad = np.einsum("gi,ij,gj->g", alphas, problem.gram, alphas)
-    tot = problem.n0 + positive.astype(np.float64)
-    values[1:] = 0.5 * problem.dim / tot + 0.5 * (positive ** 2) * quad / (tot * tot)
+    s = positive.astype(np.float64)  # squared in float64: an int64 square overflows
+    tot = problem.n0 + s
+    values[1:] = 0.5 * problem.dim / tot + 0.5 * (s * s) * quad / (tot * tot)
 
     best = int(np.argmin(values))  # first minimum: ties resolve to smaller s
     s_star = int(grid[best])

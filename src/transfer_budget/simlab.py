@@ -13,8 +13,8 @@ Families with a closed-form MLE run trials in blocks: each trial's uniform
 draws fill one row of a :class:`~transfer_budget.families.UniformBlock`, and
 ``Family.sample``, ``pooled_mle`` and ``Family.kl`` then run once per block on
 all of its trials. A sweep draws each trial once, at the largest quantity, and
-evaluates every grid point on a prefix of that draw. Softmax regression has no
-closed form and refits trial by trial.
+evaluates every grid point on a prefix of that draw. A family without a
+closed-form MLE (softmax regression) is refused with the other input errors.
 """
 
 from __future__ import annotations
@@ -115,31 +115,6 @@ def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: i
     return kls
 
 
-def _refit_kls(family: Family, theta0, source_thetas, counts, pooled,
-               seed: int, start: int, stop: int) -> np.ndarray:
-    """Per-trial refits of the whole pool, for families without a closed-form MLE.
-
-    Trial ``r`` draws ``counts`` from ``default_rng([seed, r])``. Only
-    :func:`sweep_n1` asks for several pooled sizes, and it needs a closed-form
-    Fisher that these families lack, so ``pooled`` is the full pool.
-    """
-    assert list(pooled) == [sum(counts)]
-    out = np.empty((1, stop - start))
-    for i, trial in enumerate(range(start, stop)):
-        rng = np.random.default_rng([seed, trial])
-        target = family.sample(theta0, rng, counts[0])
-        sources = [family.sample(theta, rng, n) for theta, n in zip(source_thetas, counts[1:])]
-        fit = pooled_mle(family, PooledData(target=target, sources=sources))
-        out[0, i] = family.kl(theta0, fit.theta)
-    return out
-
-
-def _trial_kls(args) -> np.ndarray:
-    family = args[0]
-    run = _block_kls if family.has_closed_form_mle else _refit_kls
-    return run(*args)
-
-
 def _run_trials(family: Family, theta0, sources, n0: int, pooled, trials: int,
                 seed: int, workers: int) -> np.ndarray:
     """Validate the inputs, then KL values for every pooled size and trial.
@@ -152,6 +127,8 @@ def _run_trials(family: Family, theta0, sources, n0: int, pooled, trials: int,
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
+    if not family.has_closed_form_mle:
+        raise ValueError(f"{type(family).__name__} has no closed-form MLE to run trials with")
     counts = [int(n0)] + [int(n) for _, n in sources]
     if min(counts) < 0:
         raise ValueError("sample counts must be nonnegative")
@@ -164,9 +141,9 @@ def _run_trials(family: Family, theta0, sources, n0: int, pooled, trials: int,
     jobs = [(family, theta0, source_thetas, counts, pooled, seed, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(jobs) == 1:
-        return _trial_kls(jobs[0])
+        return _block_kls(*jobs[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_trial_kls, jobs)), axis=1)
+        return np.concatenate(list(pool.map(_block_kls, *zip(*jobs))), axis=1)
 
 
 def _report(family: Family, kls: np.ndarray, n0: int, counts, seed: int) -> TrialReport:

@@ -1,14 +1,21 @@
 """CLI contracts: outputs, validation errors, exit codes, byte determinism."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transfer_budget.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, main
+from transfer_budget.cli import EXIT_CONFIG, EXIT_GATE, EXIT_INFEASIBLE, EXIT_OK, main
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -341,3 +348,160 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "out" / "plan.csv").exists()
+
+
+class TestSchemaEdges:
+    @pytest.mark.parametrize("cfg,field", [
+        ({"n0": 10, "stepnumbr": 5,
+          "sources": [{"name": "s", "delta": 0.1, "cap": 5, "capp": 9}]}, "stepnumbr"),
+        ({"n0": 10, "sources": [{"name": "s", "delta": 0.1, "cap": 5, "capp": 9}]},
+         "sources[0].capp"),
+        ({"family": {"kind": "bernoulli", "dim": 2}}, "family.dim"),
+        ({"trainer": {"epoch": 3}}, "trainer.epoch"),
+        ({"curve": {"t": 0.01, "grid_point": 5}}, "curve.grid_point"),
+    ], ids=["top-level", "source", "family-kind", "trainer", "curve"])
+    def test_unknown_fields_report_path(self, tmp_path, capsys, cfg, field):
+        path = write_config(tmp_path, cfg)
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error at {field}: unknown field"]
+
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("plan", {"sources": [{"name": "s", "delta": 0.1, "cap": 10**20}]}, "sources[0].cap"),
+        ("curve", {"curve": {"t": 0.01, "cap": 10**20}}, "curve.cap"),
+        ("curve", {"curve": {"t": 0.01, "cap": 100, "grid_points": 10**20}}, "curve.grid_points"),
+        ("plan", {"stepnumber": 10**20}, "stepnumber"),
+        ("plan", {"family": {"kind": "gaussian", "dim": 10**20}}, "family.dim"),
+        ("plan", {"sources": [{"name": "s", "delta": 0.1, "cap": 10**16}]}, "sources"),
+        ("plan", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**62},
+                              {"name": "t", "delta": 0.2, "cap": 2**62}]}, "sources"),
+        ("curve", {"curve": {"t": 0.01, "cap": 2**63 - 1}}, "curve.cap"),
+        ("curve", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**62}]}, "sources"),
+        ("train", {"trainer": {"epochs": 2**63}}, "trainer.epochs"),
+    ], ids=["source-cap", "curve-cap", "grid-points", "stepnumber", "dim", "cap-above-2-53",
+            "caps-wrapping-int64", "curve-cap-int64-max", "curve-source-cap", "epochs"])
+    def test_integers_beyond_range_report_path(self, tmp_path, capsys, command, cfg, field):
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error at {field}:")
+        if field == "sources" and command == "plan":
+            assert "caps" in err[0] and "Gram" not in err[0]
+
+    def test_seeds_have_no_upper_bound(self, tmp_path):
+        path = write_config(tmp_path, dict(PLAN_CFG, seed=10**30))
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_huge_grid_settings_do_not_allocate(self, tmp_path):
+        """A step number or grid size beyond the caps gives the every-integer grid."""
+        outs = []
+        for tag, step, points in (("huge", 2**62, 2**62), ("exact", 1000, 201)):
+            cfg = dict(PLAN_CFG, stepnumber=step, curve={"grid_points": points, "cap": 200})
+            path = write_config(tmp_path, cfg, f"{tag}.json")
+            out = tmp_path / tag
+            for command in ("plan", "curve"):
+                assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+            outs.append((out / "curve.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_an_integer_past_the_json_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"n0": ' + "1" * 5000 + "}")
+        assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error at <file>: invalid JSON")
+
+    def test_workers_flag_goes_through_the_workers_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, PLAN_CFG)
+        code = main(["plan", "--config", path, "--out", str(tmp_path / "o"), "--workers", "0"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error at workers:")
+
+
+FUZZ_CFG = {
+    "seed": 1, "workers": 1, "family": {"kind": "gaussian", "sigma": 1.0, "dim": 1},
+    "n0": 20, "theta0": 0.0, "stepnumber": 40, "trials": 100, "calibration_samples": 1000,
+    "fisher_mode": "analytic",
+    "sources": [{"name": "a", "delta": 0.1, "cap": 30}, {"name": "b", "theta": [0.2], "cap": 20}],
+    "curve": {"grid_points": 11, "t": 0.01, "cap": 50},
+    "verify": {"grid_step": 10, "z_threshold": 3.0, "min_pass_fraction": 0.95},
+    "trainer": {"feature_dim": 2, "num_classes": 3, "shots": 4, "deltas": [0.0, 1.0],
+                "pool_sizes": [50, 50], "test_size": 50, "val_size": 20, "prior_scale": 1.0,
+                "epochs": 2, "patience": 1, "learning_rate": 0.5, "steps_per_epoch": 2,
+                "stepnumber": 100, "fisher_mode": "batch", "target_only_fisher": False,
+                "init_scale": 0.01, "strategies": ["dynamic"], "seeds": [1]},
+}
+FUZZ_VALUES = ["x", True, None, [0.5], {"a": 1}, float("nan"), 10**400, 2**63, -1]
+
+
+def _key_paths(value, prefix=""):
+    """(path, container, key) for every value below the root, in config path syntax."""
+    is_object = isinstance(value, dict)
+    for key, child in (value.items() if is_object else enumerate(value)):
+        if is_object:
+            path = f"{prefix}.{key}" if prefix else key
+        else:
+            path = f"{prefix}[{key}]"
+        yield path, value, key
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, path)
+
+
+def _objects(value):
+    """(path, object) for the root and every object below it."""
+    yield "", value
+    for path, container, key in _key_paths(value):
+        if isinstance(container[key], dict):
+            yield path, container[key]
+
+
+_MUTATIONS = (
+    [("insert", path) for path, _ in _objects(FUZZ_CFG)]
+    + [("replace", path, v) for path, _, _ in _key_paths(FUZZ_CFG) for v in FUZZ_VALUES]
+    + [("delete", path) for path, _, _ in _key_paths(FUZZ_CFG)]
+)
+
+
+def _mutate(cfg, mutation):
+    kind, path = mutation[:2]
+    if kind == "insert":
+        target = dict(_objects(cfg)).get(path)
+        if target is not None:
+            target["zz_unknown"] = 1
+        return
+    for found, container, key in _key_paths(cfg):
+        if found == path:
+            if kind == "replace":
+                container[key] = mutation[2]
+            else:
+                del container[key]
+            return
+
+
+class TestConfigFuzz:
+    BASE_PATHS = {path for path, _, _ in _key_paths(FUZZ_CFG)}
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
+    def test_every_mutation_exits_cleanly_naming_a_field(self, mutations):
+        """Unknown keys, wrong types, out-of-range numbers and deleted keys all
+        end in a result or a one-line config error at a key path; `plan`
+        validates every section, so curve, verify and trainer are covered."""
+        cfg = json.loads(json.dumps(FUZZ_CFG))
+        for mutation in mutations:
+            _mutate(cfg, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = main(["plan", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE)
+        if any(p.endswith("zz_unknown") for p, _, _ in _key_paths(cfg)):
+            assert code == EXIT_CONFIG
+        if code == EXIT_CONFIG:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            match = re.match(r"config error at (.+?): ", lines[0])
+            assert match, lines[0]
+            known = self.BASE_PATHS | {p for p, _, _ in _key_paths(cfg)}
+            assert match.group(1) in known, lines[0]

@@ -584,6 +584,83 @@ class TestPlanTransfer:
             assert -1e-15 <= plan.rounding_gap <= variation + 1e-12
 
 
+
+class TestLargeTotals:
+    """Totals beyond int64 squares, and grids longer than the totals they cover."""
+
+    @staticmethod
+    def grid_values(n0, s, quad):
+        s = np.asarray(s, dtype=np.float64)
+        return 0.5 / (n0 + s) + 0.5 * s * s * quad / (n0 + s) ** 2
+
+    def test_grid_optimum_beyond_the_int64_square_range(self):
+        # the grid steps by 2e9; squaring 4e9 in int64 would wrap to a negative value
+        n0, g = 10**9, 1.5e-9
+        plan = plan_transfer(TransferProblem(n0=n0, dim=1, caps=[10**12, 10**12],
+                                             gram=g * np.eye(2)))
+        totals = np.arange(0, 1001) * 2 * 10**9
+        brute = self.grid_values(n0, totals, g / 2)  # alpha = (1/2, 1/2) at every total
+        assert plan.s_star == totals[np.argmin(brute)] == 2 * 10**9
+
+    def test_continuous_proxy_of_a_large_total(self):
+        n0, g = 100, 1e-10
+        plan = plan_transfer(TransferProblem(n0=n0, dim=1, caps=[4 * 10**9] * 2,
+                                             gram=g * np.eye(2)))
+        assert plan.s_star == 8 * 10**9
+        assert plan.continuous_proxy == pytest.approx(
+            self.grid_values(n0, plan.s_star, g / 2), rel=1e-12)
+        assert plan.continuous_proxy == pytest.approx(plan.predicted_proxy, rel=1e-12)
+
+    @pytest.mark.parametrize("caps", [[10**16], [2**62, 2**62], [2**52, 2**52]],
+                             ids=["above-2-53", "sum-wraps-int64", "sum-at-2-53"])
+    def test_caps_summing_to_2_53_are_rejected(self, caps):
+        with pytest.raises(ValueError, match="caps must sum"):
+            TransferProblem(n0=10, dim=1, caps=caps, gram=np.eye(len(caps)))
+
+    def test_caps_just_below_2_53_plan(self):
+        caps = [2**52, 2**52 - 1]
+        plan = plan_transfer(TransferProblem(n0=10, dim=1, caps=caps, gram=np.zeros((2, 2))))
+        assert plan.s_star == sum(caps)
+        np.testing.assert_array_equal(plan.n_star, caps)
+
+    def test_step_number_beyond_the_total_is_every_integer(self):
+        problem = TransferProblem(n0=20, dim=1, caps=[30, 17], gram=0.05 * np.eye(2),
+                                  step_number=2**62)
+        plan = plan_transfer(problem, include_curve=True)
+        np.testing.assert_array_equal(plan.curve.quantities, np.arange(48))
+        exact = plan_transfer(TransferProblem(n0=20, dim=1, caps=[30, 17],
+                                              gram=0.05 * np.eye(2), step_number=47))
+        assert (plan.s_star, plan.predicted_proxy) == (exact.s_star, exact.predicted_proxy)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(total=st.integers(1, 10**7), step_number=st.integers(1, 3000))
+    def test_grid_is_the_rounded_even_grid(self, total, step_number):
+        """{0} and floor(k total / step_number + 1/2) for k = 1..step_number,
+        here in exact integer arithmetic."""
+        problem = TransferProblem(n0=50, dim=1, caps=[total], gram=[[0.01]],
+                                  step_number=step_number)
+        k = np.arange(1, step_number + 1, dtype=object)
+        expected = np.unique(np.concatenate(([0], (2 * k * total + step_number)
+                                                   // (2 * step_number))).astype(np.int64))
+        quantities = plan_transfer(problem, include_curve=True).curve.quantities
+        np.testing.assert_array_equal(quantities, expected)
+
+    def test_curve_grid_points_beyond_the_cap(self):
+        huge = regime_curve(100, 250, 0.01, 2**62)
+        exact = regime_curve(100, 250, 0.01, 251)
+        np.testing.assert_array_equal(huge.quantities, np.arange(251))
+        np.testing.assert_array_equal(huge.values, exact.values)
+
+    @pytest.mark.parametrize("cap", [2**52 + 1, 2**53 - 1])
+    def test_curve_ends_at_a_cap_below_2_53(self, cap):
+        # cap + 1/2 rounds up to cap + 1 in float64 here
+        assert regime_curve(100, cap, 0.01, 11).quantities[-1] == cap
+
+    def test_curve_cap_of_2_53_is_rejected(self):
+        with pytest.raises(ValueError, match="cap must be below"):
+            regime_curve(100, 2**53, 0.01, 11)
+
+
 class TestApportionment:
     @given(
         s=st.integers(1, 5000),

@@ -11,6 +11,7 @@ from transfer_budget.families import (
     CategoricalLogits,
     GaussianMean,
     InvalidParameterError,
+    SoftmaxRegression,
 )
 from transfer_budget.simlab import (
     estimate_expected_kl,
@@ -277,9 +278,9 @@ class TestBlockPathMatchesPerTrialLoop:
 class TestInputErrors:
     @pytest.fixture(autouse=True)
     def no_trial_runs(self, monkeypatch):
-        def fail(args):
+        def fail(*args):
             raise AssertionError("a trial ran before the inputs were checked")
-        monkeypatch.setattr(simlab, "_trial_kls", fail)
+        monkeypatch.setattr(simlab, "_block_kls", fail)
 
     def test_empty_pool(self):
         with pytest.raises(InsufficientDataError):
@@ -304,3 +305,9 @@ class TestInputErrors:
             sweep_n1(G, Z, np.array([0.1]), 10, -5, 1, 100, seed=1)
         with pytest.raises(ValueError):
             sweep_n1(G, Z, np.array([0.1]), 10, 20, 10, 99, seed=1)
+
+    def test_family_without_closed_form_mle(self):
+        family = SoftmaxRegression(feature_dim=2, num_classes=3)
+        theta = np.zeros(family.dim)
+        with pytest.raises(ValueError, match="closed-form MLE"):
+            estimate_expected_kl(family, theta, [(theta, 10)], 10, 100, seed=1)

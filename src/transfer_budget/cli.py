@@ -61,6 +61,11 @@ class ConfigError(ValueError):
 
 #: upper bound of every integer field but ``seed`` and ``trainer.seeds``
 INT64_MAX = 2**63 - 1
+#: upper bounds of the fields that size arrays: a dimension (a Fisher
+#: information at the bound is a 2**24-value matrix, 128 MiB) and a count of
+#: draws or trials; fields that size one array together are not bounded jointly
+MAX_DIM = 2**12
+MAX_COUNT = 2**24
 #: default of a field that must be given
 REQUIRED = object()
 #: default of a field left out when absent: a fallback or a dataclass default applies
@@ -187,11 +192,11 @@ CONFIG = _object({
     "workers": (_int(1), 1),
     "family": (_family({
         "gaussian": (GaussianMean, {"sigma": (_number(0.0, strict=True), 1.0),
-                                    "dim": (_int(1), 1)}),
+                                    "dim": (_int(1, MAX_DIM), 1)}),
         "bernoulli": (BernoulliLogit, {}),
-        "categorical": (CategoricalLogits, {"num_classes": (_int(2), 3)}),
-        "softmax": (SoftmaxRegression, {"feature_dim": (_int(1), 3),
-                                        "num_classes": (_int(2), 3)}),
+        "categorical": (CategoricalLogits, {"num_classes": (_int(2, MAX_DIM), 3)}),
+        "softmax": (SoftmaxRegression, {"feature_dim": (_int(1, MAX_DIM), 3),
+                                        "num_classes": (_int(2, MAX_DIM), 3)}),
     }), {"kind": "gaussian"}),
     "n0": (_int(1), 100),
     "theta0": (_theta, ABSENT),
@@ -202,8 +207,8 @@ CONFIG = _object({
         "delta": (_number(0.0), ABSENT),
     }), nonempty=False), []),
     "stepnumber": (_int(1), 1000),
-    "trials": (_int(MIN_TRIALS), 20_000),
-    "calibration_samples": (_int(1_000), 100_000),
+    "trials": (_int(MIN_TRIALS, MAX_COUNT), 20_000),
+    "calibration_samples": (_int(1_000, MAX_COUNT), 100_000),
     "fisher_mode": (_one_of(*FisherMode), "analytic"),
     "curve": (_object({
         "grid_points": (_int(2), 101),
@@ -216,13 +221,13 @@ CONFIG = _object({
         "min_pass_fraction": (_number(0.0), 0.95),
     }), {}),
     "trainer": (_object({
-        "feature_dim": (_int(1), ABSENT),
-        "num_classes": (_int(2), ABSENT),
-        "shots": (_int(1), ABSENT),
+        "feature_dim": (_int(1, MAX_DIM), ABSENT),
+        "num_classes": (_int(2, MAX_DIM), ABSENT),
+        "shots": (_int(1, MAX_COUNT), ABSENT),
         "deltas": (_list(_number(0.0)), ABSENT),
-        "pool_sizes": (_list(_int(1)), ABSENT),
-        "test_size": (_int(1), ABSENT),
-        "val_size": (_int(1), ABSENT),
+        "pool_sizes": (_list(_int(1, MAX_COUNT)), ABSENT),
+        "test_size": (_int(1, MAX_COUNT), ABSENT),
+        "val_size": (_int(1, MAX_COUNT), ABSENT),
         "prior_scale": (_number(0.0), ABSENT),
         "epochs": (_int(1), ABSENT),
         "patience": (_int(1), ABSENT),
@@ -367,6 +372,12 @@ def cmd_curve(spec: RunSpec, out: Path) -> int:
 def cmd_verify(spec: RunSpec, out: Path) -> int:
     if len(spec.sources) != 1:
         raise ConfigError("sources", "verify sweeps exactly one source")
+    # every trial draws the target and then the source at its cap
+    if spec.n0 > MAX_COUNT:
+        raise ConfigError("n0", f"verify draws n0 samples per trial; must be <= {MAX_COUNT}")
+    if spec.n0 + spec.sources[0]["cap"] > MAX_COUNT:
+        raise ConfigError("sources[0].cap",
+                          f"verify draws n0 + cap samples per trial; must be <= {MAX_COUNT}")
     z_threshold = spec.verify["z_threshold"]
     min_pass = spec.verify["min_pass_fraction"]
     try:

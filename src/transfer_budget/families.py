@@ -123,6 +123,66 @@ def _softmax_last(theta) -> np.ndarray:
     return _softmax(np.concatenate([theta, np.zeros((*np.shape(theta)[:-1], 1))], axis=-1))
 
 
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the class rows of a ``(C, n)`` array; ``rows`` may be overwritten.
+
+    The additions run in the order numpy's pairwise summation gives
+    ``(n, C).sum(axis=1)`` on a C-contiguous array, so each total is
+    bit-equal to that row sum: sequential for ``C < 8`` (which
+    ``sum(axis=0)`` over class rows also is); for ``8 <= C <= 128``, eight
+    accumulators that take every eighth class, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    remaining ``C % 8`` classes one by one; above 128, the two halves split
+    at a multiple of eight below ``C / 2``, each summed the same way.
+    """
+    num_classes = rows.shape[0]
+    if num_classes < 8:
+        return rows.sum(axis=0)
+    if num_classes <= 128:
+        full = num_classes - num_classes % 8
+        acc = rows[:8]
+        for start in range(8, full, 8):
+            acc += rows[start:start + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        total = acc[0]
+        total += acc[4]
+        for row in rows[full:]:
+            total += row
+        return total
+    half = num_classes // 2
+    half -= half % 8
+    total = _class_sum(rows[:half])
+    total += _class_sum(rows[half:])
+    return total
+
+
+def _class_major_log_probs(weights: np.ndarray, features: np.ndarray):
+    """Log-softmax of ``features @ weights.T`` with the classes as contiguous rows.
+
+    Returns the ``(C, n)`` log-probabilities and the ``(n, C)`` logits array,
+    whose values are spent: callers write their row-major result into it.
+    Every elementwise step runs over whole class rows of length ``n``: along
+    a row-major ``(n, C)`` array, a row max, a row sum or a broadcast column
+    runs numpy inner loops of only ``C`` elements, which made them the
+    costliest steps of a trainer epoch. Each value is bit-equal to the
+    row-major log-softmax, for these reasons:
+
+    * the logits come from the row-major product and are then transposed:
+      OpenBLAS rounds ``weights @ features.T`` differently in most shapes;
+    * max, shifts and ``exp``/``log`` are elementwise or exact;
+    * the normaliser is written out as row adds (:func:`_class_sum`) in
+      numpy's own summation order for ``(n, C).sum(axis=1)``. That pinned
+      order is what keeps every trainer and fit output byte-identical.
+    """
+    logits = features @ weights.T
+    log_p = logits.T.copy()
+    log_p -= log_p.max(axis=0)
+    norm = _class_sum(np.exp(log_p, out=logits.reshape(log_p.shape)))
+    log_p -= np.log(norm, out=norm)
+    return log_p, logits
+
+
 class Family(ABC):
     """A sampleable parametric model with likelihood derivatives."""
 
@@ -428,27 +488,26 @@ class SoftmaxRegression(Family):
         """Log class probabilities ``(n, num_classes)`` of each feature row.
 
         ``weights`` is the ``(num_classes, feature_dim)`` matrix; neither
-        argument is validated. The row max is a running ``np.maximum`` over
-        the class columns: max is exact, so it equals ``max(axis=1)`` and is
-        cheaper over a short axis.
+        argument is validated. The work runs class-major (see
+        :func:`_class_major_log_probs`); the result is C-contiguous.
         """
-        logits = features @ weights.T
-        row_max = logits[:, 0].copy()
-        for k in range(1, logits.shape[1]):
-            np.maximum(row_max, logits[:, k], out=row_max)
-        logits -= row_max[:, None]
-        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        log_p, out = _class_major_log_probs(weights, features)
+        np.copyto(out, log_p.T)
+        return out
 
     def residual(self, weights: np.ndarray, x) -> np.ndarray:
         """``onehot(label) - p`` per observation, shape ``(n, num_classes)``.
 
         ``x`` is a ``(features, labels)`` pair as :meth:`sample` returns it;
         like ``weights``, it is not validated. The score is this residual's
-        outer product with the features.
+        outer product with the features. The result is C-contiguous, so
+        ``residual.T @ features`` rounds as it always has.
         """
         features, labels = x
-        resid = -np.exp(self.class_log_probs(weights, features))
-        resid[np.arange(labels.shape[0]), labels] += 1.0
+        log_p, resid = _class_major_log_probs(weights, features)
+        np.negative(np.exp(log_p, out=log_p).T, out=resid)
+        # flat indices: numpy's fast path, where (rows, labels) pairs take the slow one
+        resid.reshape(-1)[np.arange(0, resid.size, resid.shape[1]) + labels] += 1.0
         return resid
 
     def log_prob(self, theta, x) -> np.ndarray:

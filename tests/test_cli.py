@@ -388,6 +388,34 @@ class TestSchemaEdges:
         if field == "sources" and command == "plan":
             assert "caps" in err[0] and "Gram" not in err[0]
 
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("plan", {"family": {"kind": "gaussian", "dim": 2**62}}, "family.dim"),
+        ("verify", {"family": {"kind": "gaussian", "dim": 2**62}}, "family.dim"),
+        ("train", {"family": {"kind": "gaussian", "dim": 2**62}}, "family.dim"),
+        ("verify", {"trials": 2**62}, "trials"),
+        ("train", {"trainer": {"test_size": 2**62}}, "trainer.test_size"),
+        ("plan", {"family": {"kind": "categorical", "num_classes": 2**62}}, "family.num_classes"),
+        ("plan", {"family": {"kind": "softmax", "feature_dim": 2**62}}, "family.feature_dim"),
+        ("plan", {"family": {"kind": "softmax", "num_classes": 2**62}}, "family.num_classes"),
+        ("plan", {"calibration_samples": 2**62}, "calibration_samples"),
+        ("train", {"trainer": {"feature_dim": 2**62}}, "trainer.feature_dim"),
+        ("train", {"trainer": {"num_classes": 2**62}}, "trainer.num_classes"),
+        ("train", {"trainer": {"shots": 2**62}}, "trainer.shots"),
+        ("train", {"trainer": {"pool_sizes": [10, 2**62, 10]}}, "trainer.pool_sizes[1]"),
+        ("train", {"trainer": {"val_size": 2**62}}, "trainer.val_size"),
+        ("verify", {"n0": 2**62}, "n0"),
+        ("verify", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**62}]}, "sources[0].cap"),
+        ("verify", {"n0": 2**23, "sources": [{"name": "s", "delta": 0.1, "cap": 2**23 + 1}]},
+         "sources[0].cap"),
+    ])
+    def test_fields_that_size_arrays_are_bounded(self, tmp_path, capsys, command, cfg, field):
+        """Values that used to fail allocating (``array is too big``) exit 2 at the field."""
+        cfg = {"sources": [{"name": "s", "delta": 0.1, "cap": 50}], "trials": 100, **cfg}
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error at {field}:")
+
     def test_seeds_have_no_upper_bound(self, tmp_path):
         path = write_config(tmp_path, dict(PLAN_CFG, seed=10**30))
         assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK

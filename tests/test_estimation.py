@@ -136,6 +136,23 @@ class TestSoftmaxNewton:
             assert abs(fit.log_likelihood - value) <= 1e-12
             np.testing.assert_allclose(fit.theta, theta, rtol=0, atol=1e-6)
 
+    def test_fit_is_bit_equal_through_the_row_major_core(self, monkeypatch):
+        """The class-major core changes no byte of criterion 9's suite-1 fits."""
+        suite = generate_suite(CRITERION_9, 1)
+        fits = [pooled_mle(suite.family, PooledData(target=pool)) for pool in suite.pools]
+
+        def row_major(weights, features):
+            logits = features @ weights.T
+            logits -= logits.max(axis=1, keepdims=True)
+            return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+        monkeypatch.setattr(SoftmaxRegression, "class_log_probs", staticmethod(row_major))
+        for pool, fit in zip(suite.pools, fits):
+            reference = pooled_mle(suite.family, PooledData(target=pool))
+            assert fit.theta.tobytes() == reference.theta.tobytes()
+            assert fit.log_likelihood == reference.log_likelihood
+            assert fit.iterations == reference.iterations
+
     def test_every_criterion_9_pool_converges_with_balanced_columns(self):
         for seed in range(1, 11):
             suite = generate_suite(CRITERION_9, seed)

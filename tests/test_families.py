@@ -117,6 +117,63 @@ class TestClassLogProbs:
             assert np.array_equal(got, expected)
 
 
+def _weight_cases(rng, num_classes, feature_dim=3):
+    weights = rng.normal(size=(num_classes, feature_dim))
+    tied = weights.copy()
+    tied[1::2] = tied[0]  # every other class row ties with the first
+    return [weights, tied, np.zeros_like(weights), 1e3 * weights, -1e3 * weights, 1e3 * tied]
+
+
+#: every regime of numpy's row sum: sequential below 8 classes, eight
+#: accumulators up to 128, halves above
+CLASS_COUNTS = [*range(2, 13), 16, 64, 128, 129, 200]
+
+
+class TestClassMajorCore:
+    """The class-major log-softmax against the row-major formula, bit for bit."""
+
+    @pytest.mark.parametrize("num_classes", CLASS_COUNTS)
+    @pytest.mark.parametrize("n", [1, 40, 4000])
+    def test_log_probs_bit_equal_in_every_summation_regime(self, num_classes, n):
+        rng = np.random.default_rng([num_classes, n, 1])
+        features = rng.normal(size=(n, 3))
+        for w in _weight_cases(rng, num_classes):
+            got = SoftmaxRegression.class_log_probs(w, features)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == _log_softmax_reference(w, features).tobytes()
+
+    @pytest.mark.parametrize("num_classes", CLASS_COUNTS)
+    @pytest.mark.parametrize("n", [1, 40, 4000])
+    def test_residual_bit_equal_to_onehot_minus_probabilities(self, num_classes, n):
+        rng = np.random.default_rng([num_classes, n, 2])
+        family = SoftmaxRegression(feature_dim=3, num_classes=num_classes)
+        features = rng.normal(size=(n, 3))
+        labels = rng.integers(0, num_classes, size=n)
+        for w in _weight_cases(rng, num_classes):
+            expected = -np.exp(_log_softmax_reference(w, features))
+            expected[np.arange(n), labels] += 1.0
+            got = family.residual(w, (features, labels))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_classes", [*CLASS_COUNTS, 256, 300, 1000])
+    @pytest.mark.parametrize("n", [1, 40, 4000])
+    def test_class_sum_adds_in_the_order_of_the_row_sum(self, num_classes, n):
+        from transfer_budget.families import _class_sum
+
+        # a wide spread of magnitudes, so that another order would round differently
+        rows = np.exp(8.0 * np.random.default_rng([num_classes, n, 3]).normal(size=(n, num_classes)))
+        expected = rows.sum(axis=1)
+        assert _class_sum(np.ascontiguousarray(rows.T)).tobytes() == expected.tobytes()
+
+    def test_empty_batch(self):
+        w = np.ones((4, 3))
+        assert SoftmaxRegression.class_log_probs(w, np.empty((0, 3))).shape == (0, 4)
+        family = SoftmaxRegression(feature_dim=3, num_classes=4)
+        resid = family.residual(w, (np.empty((0, 3)), np.empty(0, dtype=np.int64)))
+        assert resid.shape == (0, 4)
+
+
 class TestSampling:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
     def test_deterministic_given_seed(self, family):

@@ -255,6 +255,25 @@ class TestSoftmaxStep:
         assert loop.weights.tobytes() == weights.tobytes()
         assert loss == _nll(weights, *batch)
 
+    @pytest.mark.parametrize("num_classes", [5, 9])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_epoch_is_bit_equal_to_the_reference_at_more_classes(self, num_classes, seed):
+        """Five classes add a row sequentially, nine take numpy's eight accumulators."""
+        from transfer_budget.trainer import _Loop
+
+        suite = generate_suite(small_config(num_classes=num_classes), seed)
+        options = TrainOptions(steps_per_epoch=7, learning_rate=0.8)
+        loop = _Loop(suite, options, Strategy.TARGET_ONLY)
+        pool = suite.pools[seed % 2]
+        batch = (np.concatenate([suite.train[0], pool[0][:100 * seed]]),
+                 np.concatenate([suite.train[1], pool[1][:100 * seed]]))
+        weights = loop.weights.copy()
+        loss = loop.run_epoch(batch)
+        for _ in range(options.steps_per_epoch):
+            weights -= options.learning_rate * _nll_gradient(weights, *batch)
+        assert loop.weights.tobytes() == weights.tobytes()
+        assert loss == _nll(weights, *batch)
+
 
 class TestEarlyStopping:
     def test_halts_exactly_patience_epochs_after_the_best(self):

@@ -63,9 +63,14 @@ class ConfigError(ValueError):
 INT64_MAX = 2**63 - 1
 #: upper bounds of the fields that size arrays: a dimension (a Fisher
 #: information at the bound is a 2**24-value matrix, 128 MiB) and a count of
-#: draws or trials; fields that size one array together are not bounded jointly
+#: draws or trials
 MAX_DIM = 2**12
 MAX_COUNT = 2**24
+#: upper bound of an array that several fields size together (1 GiB of
+#: float64), checked by the subcommand that allocates it
+MAX_ELEMENTS = 2**27
+#: upper bound of ``workers``: each worker forks the interpreter
+MAX_WORKERS = 64
 #: default of a field that must be given
 REQUIRED = object()
 #: default of a field left out when absent: a fallback or a dataclass default applies
@@ -189,7 +194,7 @@ def _family(kinds: dict):
 #: ``TrainOptions`` defaults; ``trainer.stepnumber`` is ``step_number`` there.
 CONFIG = _object({
     "seed": (_int(0, None), 0),
-    "workers": (_int(1), 1),
+    "workers": (_int(1, MAX_WORKERS), 1),
     "family": (_family({
         "gaussian": (GaussianMean, {"sigma": (_number(0.0, strict=True), 1.0),
                                     "dim": (_int(1, MAX_DIM), 1)}),
@@ -243,6 +248,11 @@ CONFIG = _object({
 })
 
 
+def _check_size(values: int, path: str, what: str, bound: int = MAX_ELEMENTS) -> None:
+    if values > bound:
+        raise ConfigError(path, f"{what} would hold {values} values; must be <= {bound}")
+
+
 def _fit_dim(theta: np.ndarray, dim: int, path: str) -> np.ndarray:
     if theta.shape != (dim,):
         raise ConfigError(path, f"expected {dim} entries, got shape {theta.shape}")
@@ -286,6 +296,8 @@ class RunSpec:
                 return empirical_fisher(self.family, self.theta0, None, mode)
             except FisherUnavailableError:
                 mode = FisherMode.PER_SAMPLE
+        _check_size(self.calibration_samples * self.family.dim, "calibration_samples",
+                    "the calibration score matrix")
         rng = np.random.default_rng([self.seed, _TAG_CALIBRATION])
         calibration = self.family.sample(self.theta0, rng, self.calibration_samples)
         return empirical_fisher(self.family, self.theta0, calibration, mode)
@@ -321,12 +333,15 @@ def cmd_plan(spec: RunSpec, out: Path) -> int:
     if not spec.sources:
         s_star, predicted = 0, 0.5 * spec.family.dim / spec.n0
     else:
+        caps = [src["cap"] for src in spec.sources]
+        _check_size((min(spec.stepnumber, sum(caps)) + 1) * len(caps), "stepnumber",
+                    "the planner's proportion grid")
         gram = offset_gram(spec.fisher(), spec.theta0, [src["theta"] for src in spec.sources])
         try:
             problem = TransferProblem(
                 n0=spec.n0,
                 dim=spec.family.dim,
-                caps=np.array([src["cap"] for src in spec.sources]),
+                caps=np.array(caps),
                 gram=gram,
                 step_number=spec.stepnumber,
             )
@@ -359,6 +374,7 @@ def cmd_curve(spec: RunSpec, out: Path) -> int:
         cap, cap_path = spec.sources[0]["cap"], "sources"
     else:
         raise ConfigError("curve.cap", "needs a cap when no sources are given")
+    _check_size(min(spec.curve["grid_points"], cap + 1), "curve.grid_points", "the curve's grid")
     try:
         curve = regime_curve(spec.n0, cap, t, spec.curve["grid_points"])
     except ValueError as exc:  # a cap too large for exact float64 quantities
@@ -372,22 +388,18 @@ def cmd_curve(spec: RunSpec, out: Path) -> int:
 def cmd_verify(spec: RunSpec, out: Path) -> int:
     if len(spec.sources) != 1:
         raise ConfigError("sources", "verify sweeps exactly one source")
+    if not spec.family.has_closed_form_mle:
+        raise ConfigError("family.kind", "verify needs a closed-form MLE and Fisher information")
     # every trial draws the target and then the source at its cap
-    if spec.n0 > MAX_COUNT:
-        raise ConfigError("n0", f"verify draws n0 samples per trial; must be <= {MAX_COUNT}")
-    if spec.n0 + spec.sources[0]["cap"] > MAX_COUNT:
-        raise ConfigError("sources[0].cap",
-                          f"verify draws n0 + cap samples per trial; must be <= {MAX_COUNT}")
+    cap, width, step = spec.sources[0]["cap"], spec.family.draw_width, spec.verify["grid_step"]
+    _check_size(spec.n0 * width, "n0", "a trial's target draw", MAX_COUNT)
+    _check_size((spec.n0 + cap) * width, "sources[0].cap", "a trial's draw", MAX_COUNT)
+    _check_size((-(-cap // step) + 1) * spec.trials, "verify.grid_step",
+                "the (grid points x trials) KL matrix")
     z_threshold = spec.verify["z_threshold"]
     min_pass = spec.verify["min_pass_fraction"]
-    try:
-        result = sweep_n1(
-            spec.family, spec.theta0, spec.sources[0]["theta"], spec.n0,
-            spec.sources[0]["cap"], spec.verify["grid_step"], spec.trials, spec.seed, spec.workers,
-        )
-    except FisherUnavailableError as exc:
-        raise ConfigError("family.kind",
-                          f"verify needs a closed-form Fisher information ({exc})") from None
+    result = sweep_n1(spec.family, spec.theta0, spec.sources[0]["theta"], spec.n0, cap, step,
+                      spec.trials, spec.seed, spec.workers)
     rows = []
     z_values = []
     for quantity, report, theory in zip(
@@ -495,7 +507,7 @@ def main(argv=None) -> int:
     try:
         spec = RunSpec(raw)
         if args.workers is not None:
-            spec.workers = _int(1)(args.workers, "workers")
+            spec.workers = CONFIG.fields["workers"][0](args.workers, "workers")
         out.mkdir(parents=True, exist_ok=True)
         command = {"plan": cmd_plan, "curve": cmd_curve, "verify": cmd_verify,
                    "train": cmd_train}[args.command]

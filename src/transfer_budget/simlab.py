@@ -9,18 +9,21 @@ only, so results are bit-identical for any worker count, and sweeps that share
 a seed reuse the same underlying draws across grid points (common random
 numbers), which stabilizes empirical argmin comparisons.
 
-Families with a closed-form MLE run trials in blocks: each trial's uniform
-draws fill one row of a :class:`~transfer_budget.families.UniformBlock`, and
+Trials run in blocks, the lab's one unit of work: each trial's uniform draws
+fill one row of a :class:`~transfer_budget.families.UniformBlock`, and
 ``Family.sample``, ``pooled_mle`` and ``Family.kl`` then run once per block on
-all of its trials. A sweep draws each trial once, at the largest quantity, and
-evaluates every grid point on a prefix of that draw. A family without a
-closed-form MLE (softmax regression) is refused with the other input errors.
+all of its trials. The blocks run in process, or are dealt to worker
+processes in contiguous runs. A sweep draws each trial once, at the largest
+quantity, and evaluates every grid point on a prefix of that draw. A family
+without a closed-form MLE (softmax regression) is refused with the other
+input errors.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -74,25 +77,13 @@ class TrialReport:
     kl_exact: bool = True
 
 
-def _block_kls(family: Family, theta0, source_thetas, counts, pooled,
-               seed: int, start: int, stop: int) -> np.ndarray:
-    """Closed-form KL values, one row per pooled size, one column per trial.
+def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: int) -> np.ndarray:
+    """KL values of trials ``lo..hi-1``, one row per pooled size.
 
     Trial ``r`` draws ``counts`` (target first, then the sources in order)
     from ``default_rng([seed, r])``; row ``p`` fits the first ``pooled[p]``
     of those observations.
     """
-    rows = max(1, BLOCK_ELEMENTS // (sum(counts) * family.draw_width))
-    out = np.empty((len(pooled), stop - start))
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        out[:, lo - start:hi - start] = _one_block(
-            family, [theta0, *source_thetas], counts, pooled, seed, lo, hi)
-    return out
-
-
-def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: int) -> np.ndarray:
-    """KL rows of trials ``lo..hi-1``."""
     rows = hi - lo
     u = np.empty((rows, sum(counts) * family.draw_width))
     for i, trial in enumerate(range(lo, hi)):
@@ -104,13 +95,10 @@ def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: i
         x = family.sample(theta, block, rows * n)
         drawn.append(x.reshape(rows, n, *x.shape[1:]))
     del block
+    drawn = np.concatenate(drawn, axis=1)
     kls = np.empty((len(pooled), rows))
     for p, m in enumerate(pooled):
-        parts = []
-        for x in drawn:
-            parts.append(x[:, :m])
-            m -= parts[-1].shape[1]
-        fit = pooled_mle(family, PooledData(target=parts[0], sources=parts[1:], batched=True))
+        fit = pooled_mle(family, PooledData(target=drawn[:, :m], batched=True))
         kls[p] = family.kl(thetas[0], fit.theta)
     return kls
 
@@ -121,8 +109,10 @@ def _run_trials(family: Family, theta0, sources, n0: int, pooled, trials: int,
 
     ``sources`` is a list of ``(theta_i, n_i)`` pairs, drawn in that order
     after the target; ``pooled`` lists pooled sample counts, each a prefix of
-    the full draw that cuts only the last source. Workers receive contiguous
-    trial ranges; a trial's values depend on its own stream alone, so the
+    the full draw that cuts only the last source. The trials are cut into
+    blocks of at most ``BLOCK_ELEMENTS`` uniforms (at least one trial each),
+    run in process or dealt to ``workers`` processes in contiguous runs of
+    blocks; a trial's values depend on its own stream alone, so the
     ``(len(pooled), trials)`` result is the same for any ``workers``.
     """
     if trials < MIN_TRIALS:
@@ -137,13 +127,21 @@ def _run_trials(family: Family, theta0, sources, n0: int, pooled, trials: int,
     if min(pooled) < 1:
         raise InsufficientDataError("pooled MLE needs at least one sample")
 
-    bounds = np.linspace(0, trials, max(workers, 1) + 1).astype(int)
-    jobs = [(family, theta0, source_thetas, counts, pooled, seed, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(jobs) == 1:
-        return _block_kls(*jobs[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_block_kls, *zip(*jobs))), axis=1)
+    rows = max(1, BLOCK_ELEMENTS // (sum(counts) * family.draw_width))
+    starts = range(0, trials, rows)
+    stops = [min(lo + rows, trials) for lo in starts]
+    block = partial(_one_block, family, [theta0, *source_thetas], counts, pooled, seed)
+    out = np.empty((len(pooled), trials))
+
+    def fill(results):
+        for lo, hi, kls in zip(starts, stops, results):
+            out[:, lo:hi] = kls
+        return out
+
+    if workers < 2 or len(starts) == 1:
+        return fill(map(block, starts, stops))
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        return fill(pool.map(block, starts, stops, chunksize=-(-len(starts) // workers)))
 
 
 def _report(family: Family, kls: np.ndarray, n0: int, counts, seed: int) -> TrialReport:

@@ -313,25 +313,17 @@ def train(suite: TaskSuite, strategy: Strategy, options: TrainOptions = TrainOpt
     :func:`pretrain_sources`; they are fitted on first use when not given.
     """
     loop = _Loop(suite, options, strategy, pretrained)
-    target = suite.train
-
-    if strategy is Strategy.ALL_SOURCES:
-        fixed_batch = _concat([target] + list(suite.pools))
-    else:
-        fixed_batch = None
-
-    first_batch = fixed_batch if strategy is Strategy.ALL_SOURCES else target
-
-    # number of warm-up (target-only) epochs before the one static plan;
-    # exact = until the validation plateau, over = three times that
-    static_warmup = 1 if strategy is Strategy.STATIC_UNDER else None
-    plateau_seen: int | None = None
+    # target-only epochs before the one static plan: one for under; exact
+    # waits for the validation plateau and over three times as long
+    warmup = 1 if strategy is Strategy.STATIC_UNDER else None
 
     records: list[EpochRecord] = []
     best_epoch, best_acc = 0, -1.0
     best_weights = loop.weights.copy()
     anchor = 0  # early stopping reference: best epoch, or the static plan epoch
-    batch, plan, indices = first_batch, None, None
+    batch, plan, indices = suite.train, None, None
+    if strategy is Strategy.ALL_SOURCES:
+        batch = _concat([suite.train] + list(suite.pools))
 
     for epoch in range(options.epochs):
         train_loss = loop.run_epoch(batch)
@@ -349,27 +341,21 @@ def train(suite: TaskSuite, strategy: Strategy, options: TrainOptions = TrainOpt
             best_weights = loop.weights.copy()
 
         plateaued = epoch - max(best_epoch, anchor) >= options.patience
-        if strategy in (Strategy.STATIC_EXACT, Strategy.STATIC_OVER):
-            if plateaued and plateau_seen is None and plan is None:
-                plateau_seen = epoch + 1
-                static_warmup = (
-                    plateau_seen if strategy is Strategy.STATIC_EXACT else 3 * plateau_seen
-                )
-        if plateaued and not (static_warmup is not None and plan is None):
+        if plateaued and warmup is None and strategy in (Strategy.STATIC_EXACT,
+                                                         Strategy.STATIC_OVER):
+            warmup = (epoch + 1) * (1 if strategy is Strategy.STATIC_EXACT else 3)
+        pending = warmup is not None and plan is None  # the static plan is still to come
+        if plateaued and not pending:
             break
 
         # assemble the next epoch's dataset
-        if strategy is Strategy.TARGET_ONLY:
-            batch = target
-        elif strategy is Strategy.ALL_SOURCES:
-            batch = fixed_batch
-        elif strategy is Strategy.DYNAMIC:
+        if strategy is Strategy.DYNAMIC:
             plan = loop.plan(batch)
             batch, indices = loop.resample(plan)
-        elif static_warmup is not None and plan is None and epoch + 1 >= static_warmup:
+        elif pending and epoch + 1 >= warmup:
             plan = loop.plan(batch)
             batch, indices = loop.resample(plan)
-            anchor = max(anchor, epoch + 1)  # give the new dataset a full window
+            anchor = epoch + 1  # give the new dataset a full window
 
     total = int(sum(r.samples_used for r in records))
     return TrainRun(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transfer_budget import simlab
 from transfer_budget.cli import EXIT_CONFIG, EXIT_GATE, EXIT_INFEASIBLE, EXIT_OK, main
 
 
@@ -407,6 +408,15 @@ class TestSchemaEdges:
         ("verify", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**62}]}, "sources[0].cap"),
         ("verify", {"n0": 2**23, "sources": [{"name": "s", "delta": 0.1, "cap": 2**23 + 1}]},
          "sources[0].cap"),
+        ("curve", {"curve": {"t": 0.01, "cap": 2**50, "grid_points": 2**40}}, "curve.grid_points"),
+        ("plan", {"stepnumber": 2**62, "sources": [{"name": "s", "delta": 0.1, "cap": 2**50}]},
+         "stepnumber"),
+        ("verify", {"family": {"kind": "gaussian", "dim": 4096},
+                    "sources": [{"name": "s", "delta": 0.1, "cap": 16_000_000}]}, "sources[0].cap"),
+        ("plan", {"family": {"kind": "softmax", "feature_dim": 4096, "num_classes": 4096}},
+         "calibration_samples"),
+        ("verify", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**23}],
+                    "verify": {"grid_step": 1}}, "verify.grid_step"),
     ])
     def test_fields_that_size_arrays_are_bounded(self, tmp_path, capsys, command, cfg, field):
         """Values that used to fail allocating (``array is too big``) exit 2 at the field."""
@@ -437,6 +447,21 @@ class TestSchemaEdges:
         path.write_text('{"n0": ' + "1" * 5000 + "}")
         assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error at <file>: invalid JSON")
+
+    @pytest.mark.parametrize("command,cfg,flag", [
+        ("plan", {"workers": 65}, []),
+        ("verify", {}, ["--workers", str(2**62)]),
+    ], ids=["config", "flag"])
+    def test_workers_are_bounded_before_any_process_starts(self, tmp_path, capsys, monkeypatch,
+                                                           command, cfg, flag):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", no_pool)
+        path = write_config(tmp_path, {**TestVerify.CFG, **cfg})
+        code = main([command, "--config", path, "--out", str(tmp_path / "o"), *flag])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error at workers: must be <= 64")
 
     def test_workers_flag_goes_through_the_workers_field(self, tmp_path, capsys):
         path = write_config(tmp_path, PLAN_CFG)

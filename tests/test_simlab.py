@@ -275,12 +275,41 @@ class TestBlockPathMatchesPerTrialLoop:
             assert (twin.mean_kl, twin.std_err) == (alone.mean_kl, alone.std_err)
 
 
+class TestBlockPartition:
+    """Trials are cut into blocks, run in process or dealt to a pool; neither
+    the cut nor the worker count reaches a trial's values."""
+
+    @pytest.mark.parametrize("family, theta0, sources, n0, pooled, trials", [
+        (G, Z, [(np.array([0.2]), 10)], 5, [5, 10, 15], 100),                   # one block
+        (G, Z, [(np.array([0.2]), 20_000)], 15_000, [15_000, 35_000], 100),     # one trial a block
+        (GaussianMean(sigma=0.7, dim=3), np.array([0.1, -0.2, 0.0]),
+         [(np.array([0.3, 0.0, 0.1]), 40), (np.array([-0.1, 0.4, 0.0]), 25)], 30,
+         [30, 70, 95], 1337),
+    ], ids=["fewer-blocks-than-workers", "one-trial-per-block", "gaussian-dim-three"])
+    def test_workers_give_bit_equal_kls(self, family, theta0, sources, n0, pooled, trials):
+        serial = simlab._run_trials(family, theta0, sources, n0, pooled, trials, 51, 1)
+        assert serial.shape == (len(pooled), trials)
+        for workers in (2, 4):
+            parallel = simlab._run_trials(family, theta0, sources, n0, pooled, trials, 51, workers)
+            assert parallel.tobytes() == serial.tobytes()
+
+    def test_zero_workers_run_in_process(self, monkeypatch):
+        args = (G, Z, [(np.array([0.2]), 10_000)], 5_000, [15_000], 300, 52)  # 150 blocks
+        serial = simlab._run_trials(*args, 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", no_pool)
+        none = simlab._run_trials(*args, 0)
+        assert none.tobytes() == serial.tobytes()
+
+
 class TestInputErrors:
     @pytest.fixture(autouse=True)
     def no_trial_runs(self, monkeypatch):
         def fail(*args):
             raise AssertionError("a trial ran before the inputs were checked")
-        monkeypatch.setattr(simlab, "_block_kls", fail)
+        monkeypatch.setattr(simlab, "_one_block", fail)
 
     def test_empty_pool(self):
         with pytest.raises(InsufficientDataError):

@@ -19,7 +19,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimation import FisherMode, discrepancy, empirical_fisher, offset_gram
 from .families import (
@@ -29,7 +28,7 @@ from .families import (
     FisherUnavailableError,
     GaussianMean,
     SoftmaxRegression,
-    open_uniform,
+    unit_direction,
 )
 from .planner import FeasibilityError, TransferProblem, plan_transfer, regime_curve
 from .simlab import MIN_TRIALS, sweep_n1
@@ -283,9 +282,10 @@ class RunSpec:
         d = self.family.dim
         if d == 1:
             return np.ones(1)
-        rng = np.random.default_rng([self.seed, _TAG_SOURCE_DIRECTION, index])
-        v = ndtri(open_uniform(rng, d))
-        return v / np.linalg.norm(v)
+        # index + 1: SeedSequence drops a trailing zero word, so [seed, 31, 0]
+        # would be the lab's trial 31 stream [seed, 31]
+        rng = np.random.default_rng([self.seed, _TAG_SOURCE_DIRECTION, index + 1])
+        return unit_direction(rng, d)
 
     def fisher(self):
         """Closed-form Fisher at theta0, or the per-sample estimate from a
@@ -431,6 +431,21 @@ def cmd_train(spec: RunSpec, out: Path) -> int:
                                for f in fields(SuiteConfig) if f.name in settings})
     options = TrainOptions(**{"step_number" if k == "stepnumber" else k: v
                               for k, v in settings.items()})
+    f, c, pooled = suite_cfg.feature_dim, suite_cfg.num_classes, sum(suite_cfg.pool_sizes)
+    width = max(f + 1, c)  # a draw's features and label uniform, then its class probabilities
+    for count, path, what in (
+        (max(64, 4 * suite_cfg.shots * c), "trainer.shots", "a per-class rejection batch"),
+        (suite_cfg.test_size, "trainer.test_size", "the test set"),
+        (suite_cfg.val_size if suite_cfg.shots < 5 else 0, "trainer.val_size",
+         "the validation set"),
+        (pooled, "trainer.pool_sizes", "the source pools"),
+    ):
+        _check_size(count * width, path, what)
+    _check_size((f * c) ** 2, "trainer.feature_dim", "the softmax fit's Newton Hessian")
+    _check_size((suite_cfg.shots * c + pooled) * f * c, "trainer.pool_sizes",
+                "the per-sample score matrix")
+    _check_size((min(options.step_number, pooled) + 1) * suite_cfg.num_sources,
+                "trainer.stepnumber", "the planner's proportion grid")
     rows, runs = compare_strategies(suite_cfg, strategies, seeds, options)
 
     k = suite_cfg.num_sources

@@ -40,6 +40,8 @@ __all__ = [
     "InvalidSampleError",
     "FisherUnavailableError",
     "open_uniform",
+    "standard_normal",
+    "unit_direction",
     "UniformBlock",
 ]
 
@@ -107,8 +109,15 @@ class UniformBlock:
         return self.values[:, start:self._read].reshape(size)
 
 
-def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
+def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard-normal draws: the inverse normal CDF of :func:`open_uniform` values."""
     return ndtri(open_uniform(rng, size))
+
+
+def unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A uniformly random direction in ``d`` dimensions: a normalised normal draw."""
+    v = standard_normal(rng, d)
+    return v / np.linalg.norm(v)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -314,7 +323,7 @@ class GaussianMean(Family):
 
     def sample(self, theta, rng, n):
         theta = self.check_theta(theta)
-        draws = theta + self.sigma * _standard_normal(rng, (int(n), self.dim))
+        draws = theta + self.sigma * standard_normal(rng, (int(n), self.dim))
         return draws[:, 0] if self.dim == 1 else draws
 
     def fisher(self, theta) -> np.ndarray:
@@ -524,7 +533,7 @@ class SoftmaxRegression(Family):
     def sample(self, theta, rng, n):
         w = self.weights(theta)
         n = int(n)
-        features = _standard_normal(rng, (n, self.feature_dim))
+        features = standard_normal(rng, (n, self.feature_dim))
         p = _softmax(features @ w.T)
         u = open_uniform(rng, n)
         labels = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
@@ -552,7 +561,7 @@ class SoftmaxRegression(Family):
         fixed internal seed so repeated calls agree bit-for-bit.
         """
         rng = np.random.default_rng(seed)
-        features = _standard_normal(rng, (int(draws), self.feature_dim))
+        features = standard_normal(rng, (int(draws), self.feature_dim))
         vals = self.conditional_kl(theta_a, theta_b, features)
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.shape[0]))
 

@@ -12,8 +12,9 @@ at ``n0 * t = 0.5``; the multi-source problem is solved by a grid over the
 total quantity with a capped-simplex quadratic program at each grid point.
 Those programs are solved exactly, with no tolerance-based stop: their
 optimum is piecewise affine in ``1/s``, so one warm-started active-set sweep
-over the grid finds each piece's optimal face and evaluates the piece's
-closed form at all of its grid points at once.
+over the grid finds each piece's optimal face, ends the piece at the exact
+root of its first failing KKT condition and evaluates the piece's closed form
+at all of its grid points at once.
 """
 
 from __future__ import annotations
@@ -315,28 +316,21 @@ def _piece_length(m: np.ndarray, free: np.ndarray, at_cap: np.ndarray, caps: np.
     """How many leading totals of ``s`` one face stays optimal for.
 
     Every KKT condition on the face (bounds on the free entries, multiplier
-    signs on the others) is affine in ``1/s``, so the totals where all of
-    them hold form one run of the increasing grid. The first total is the one
-    the active-set solve certified and always counts; the rest are checked in
-    chunks of doubling length.
+    signs on the others) reads ``p + q/s >= -_SIGN_FLOOR``. All of them hold
+    at the first total, which the active-set solve certified and which always
+    counts. As ``s`` grows only a condition with ``q > 0`` can fail, once
+    ``1/s`` drops below its root ``(-_SIGN_FLOOR - p)/q``; the piece ends at
+    the largest such root, in closed form.
     """
     a, b, c, d = solution
     zero = ~free & ~at_cap
     ma, mb = m @ a, m @ b
-    end, chunk = 1, 8
-    while end < s.shape[0]:
-        t = s[end:end + chunk, None]
-        alpha = a[free] + b[free] / t
-        g = ma + mb / t
-        lam = c + d / t
-        ok = ((alpha >= -_SIGN_FLOOR) & (alpha <= caps[free] / t + _SIGN_FLOOR)).all(axis=1)
-        ok &= (g[:, zero] - lam >= -_SIGN_FLOOR).all(axis=1)
-        ok &= (lam - g[:, at_cap] >= -_SIGN_FLOOR).all(axis=1)
-        if not ok.all():
-            return end + int(np.argmin(ok))
-        end += t.shape[0]
-        chunk *= 2
-    return s.shape[0]
+    p = np.concatenate((a[free], -a[free], ma[zero] - c, c - ma[at_cap]))
+    q = np.concatenate((b[free], caps[free] - b[free], mb[zero] - d, d - mb[at_cap]))
+    rising = q > 0.0
+    u = np.max((-_SIGN_FLOOR - p[rising]) / q[rising], initial=0.0)
+    with np.errstate(divide="ignore", over="ignore"):  # no root: the piece runs to the end
+        return max(int(np.searchsorted(s, 1.0 / u, side="right")), 1)
 
 
 def _solve_qp_batch(m: np.ndarray, s_values: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -347,9 +341,9 @@ def _solve_qp_batch(m: np.ndarray, s_values: np.ndarray, caps: np.ndarray) -> np
     ch. 16). The sweep runs in pieces: an active-set solve at a piece's first
     total, warm-started from the previous piece's last optimum projected onto
     the new caps, yields the optimal face; its KKT system gives the optimum as
-    ``a + b/s``, which is checked against the later totals in vectorized steps,
-    and the first total where a bound or multiplier sign fails starts the next
-    piece. The matrix is first scaled to largest entry one, so the sign
+    ``a + b/s``, which holds up to the exact root of the face's first failing
+    bound or multiplier sign, and the first total past that root starts the
+    next piece. The matrix is first scaled to largest entry one, so the sign
     tests' fixed floor, and therefore the returned optimum, is invariant under
     positive rescaling of ``m``.
     """

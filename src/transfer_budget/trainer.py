@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimation import FisherMode, PooledData, empirical_fisher, offset_gram, pooled_mle
-from .families import SoftmaxRegression, open_uniform
+from .families import SoftmaxRegression, standard_normal, unit_direction
 from .planner import TransferPlan, TransferProblem, plan_transfer
 
 __all__ = [
@@ -136,15 +135,9 @@ def generate_suite(config: SuiteConfig, seed: int) -> TaskSuite:
     family = SoftmaxRegression(config.feature_dim, config.num_classes)
     d = family.dim
 
-    theta0 = config.prior_scale * ndtri(
-        open_uniform(np.random.default_rng([seed, _TAG_THETA]), d)
-    )
+    theta0 = config.prior_scale * standard_normal(np.random.default_rng([seed, _TAG_THETA]), d)
     dir_rng = np.random.default_rng([seed, _TAG_DIRECTIONS])
-    thetas = []
-    for delta in config.deltas:
-        direction = ndtri(open_uniform(dir_rng, d))
-        direction /= np.linalg.norm(direction)
-        thetas.append(theta0 + delta * direction)
+    thetas = [theta0 + delta * unit_direction(dir_rng, d) for delta in config.deltas]
 
     shots = config.shots
     z, y = _draw_per_class(family, theta0, np.random.default_rng([seed, _TAG_TRAIN]), shots)
@@ -228,12 +221,6 @@ def _accuracy(weights, data) -> float:
     return float((pred == labels).mean())
 
 
-def _concat(parts):
-    feats = np.concatenate([p[0] for p in parts], axis=0)
-    labels = np.concatenate([p[1] for p in parts])
-    return feats, labels
-
-
 class _Loop:
     """Shared epoch loop; strategies differ only in how each epoch's data is built."""
 
@@ -244,7 +231,7 @@ class _Loop:
         self.strategy = strategy
         d = suite.family.dim
         init_rng = np.random.default_rng([suite.seed, _TAG_INIT])
-        flat = options.init_scale * ndtri(open_uniform(init_rng, d))
+        flat = options.init_scale * standard_normal(init_rng, d)
         self.weights = flat.reshape(suite.family.num_classes, suite.family.feature_dim)
         self.resample_rng = np.random.default_rng(
             [suite.seed, _TAG_RESAMPLE, list(Strategy).index(strategy)]
@@ -287,7 +274,7 @@ class _Loop:
             for pool, idx in zip(self.suite.pools, indices)
             if idx.size
         ]
-        return _concat(parts) if len(parts) > 1 else self.suite.train, indices
+        return self.suite.family.stack(parts) if len(parts) > 1 else self.suite.train, indices
 
     # --- one epoch of gradient descent ---------------------------------
 
@@ -323,7 +310,7 @@ def train(suite: TaskSuite, strategy: Strategy, options: TrainOptions = TrainOpt
     anchor = 0  # early stopping reference: best epoch, or the static plan epoch
     batch, plan, indices = suite.train, None, None
     if strategy is Strategy.ALL_SOURCES:
-        batch = _concat([suite.train] + list(suite.pools))
+        batch = suite.family.stack([suite.train] + list(suite.pools))
 
     for epoch in range(options.epochs):
         train_loss = loop.run_epoch(batch)

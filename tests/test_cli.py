@@ -176,6 +176,25 @@ class TestVerify:
         cfg = write_config(tmp_path, bad)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_GATE
 
+    def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch):
+        """The source direction's stream is no trial's: SeedSequence drops a
+        trailing zero word, so a direction seeded ``[seed, 31, 0]`` would draw
+        trial 31's stream ``[seed, 31]``."""
+        make, seeds = np.random.default_rng, []
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cfg = write_config(tmp_path, dict(
+            self.CFG, trials=100, family={"kind": "gaussian", "sigma": 1.0, "dim": 3}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) in (EXIT_OK,
+                                                                                  EXIT_GATE)
+        assert len(seeds) == 101  # the source direction, then one stream per trial
+        first_words = {int(make(seed).bit_generator.random_raw()) for seed in seeds}
+        assert len(first_words) == len(seeds)
+
 
 TRAIN_CFG = {
     "seed": 2,
@@ -417,6 +436,18 @@ class TestSchemaEdges:
          "calibration_samples"),
         ("verify", {"sources": [{"name": "s", "delta": 0.1, "cap": 2**23}],
                     "verify": {"grid_step": 1}}, "verify.grid_step"),
+        ("train", {"trainer": {"feature_dim": 4096, "num_classes": 4096, "shots": 1,
+                               "pool_sizes": [100, 100, 100], "test_size": 10, "val_size": 10,
+                               "epochs": 1}}, "trainer.feature_dim"),
+        ("train", {"trainer": {"shots": 2**24, "num_classes": 64, "epochs": 1}}, "trainer.shots"),
+        ("train", {"trainer": {"feature_dim": 1, "num_classes": 4096, "shots": 1,
+                               "test_size": 2**24}}, "trainer.test_size"),
+        ("train", {"trainer": {"feature_dim": 1, "num_classes": 4096, "shots": 1,
+                               "val_size": 2**24}}, "trainer.val_size"),
+        ("train", {"trainer": {"deltas": [0.0, 1.0], "pool_sizes": [2**23, 2**23]}},
+         "trainer.pool_sizes"),
+        ("train", {"trainer": {"deltas": [0.5] * 5000, "pool_sizes": [1000] * 5000,
+                               "stepnumber": 10**6}}, "trainer.stepnumber"),
     ])
     def test_fields_that_size_arrays_are_bounded(self, tmp_path, capsys, command, cfg, field):
         """Values that used to fail allocating (``array is too big``) exit 2 at the field."""

@@ -484,6 +484,82 @@ class TestAgainstProjectedGradientOracle:
             assert ((ours - theirs) / theirs).max() <= 1e-12
 
 
+# --------------------------------------------------------------------------
+# Oracle: the chunked scan that ended each sweep piece before the exact roots
+# did, with its logic unchanged. It tests every KKT condition at the later
+# totals, in chunks of doubling length, and returns the first failing one.
+# --------------------------------------------------------------------------
+
+def _oracle_piece_length(m, free, at_cap, caps, solution, s):
+    a, b, c, d = solution
+    zero = ~free & ~at_cap
+    ma, mb = m @ a, m @ b
+    end, chunk = 1, 8
+    while end < s.shape[0]:
+        t = s[end:end + chunk, None]
+        alpha = a[free] + b[free] / t
+        g = ma + mb / t
+        lam = c + d / t
+        floor = planner._SIGN_FLOOR
+        ok = ((alpha >= -floor) & (alpha <= caps[free] / t + floor)).all(axis=1)
+        ok &= (g[:, zero] - lam >= -floor).all(axis=1)
+        ok &= (lam - g[:, at_cap] >= -floor).all(axis=1)
+        if not ok.all():
+            return end + int(np.argmin(ok))
+        end += t.shape[0]
+        chunk *= 2
+    return s.shape[0]
+
+
+class TestExactPieceEnds:
+    """Each piece ends where the chunked scan ended it, and the sweep solves
+    the active set once per piece."""
+
+    @pytest.fixture
+    def ends(self, monkeypatch):
+        exact, recorded = planner._piece_length, []
+
+        def both(*args):
+            recorded.append((exact(*args), _oracle_piece_length(*args)))
+            return recorded[-1][0]
+
+        monkeypatch.setattr(planner, "_piece_length", both)
+        return recorded
+
+    @pytest.mark.parametrize("name", sorted(TestKKTCertificate.INSTANCES))
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_certificate_instances(self, name, seed, ends):
+        gram, caps = TestKKTCertificate.INSTANCES[name](np.random.default_rng(seed))
+        caps = np.asarray(caps, dtype=np.int64)
+        planner._solve_qp_batch(gram, np.arange(1, caps.sum() + 1), caps)
+        assert ends and all(ours == scan for ours, scan in ends), ends
+
+    @pytest.mark.parametrize("name, k, dim", TestAgainstProjectedGradientOracle.CASES)
+    def test_oracle_comparison_instances(self, name, k, dim, ends):
+        rng = np.random.default_rng([25, k, dim])
+        for _ in range(2):
+            offsets = _fixed_spectrum(rng, k) if dim == 0 else _panel(rng, k, dim)
+            problem = TransferProblem(n0=int(rng.integers(50, 401)), dim=offsets.shape[0],
+                                      caps=rng.integers(300, 701, k), gram=offsets.T @ offsets,
+                                      step_number=300)
+            plan_transfer(problem)
+        assert ends and all(ours == scan for ours, scan in ends), ends
+
+    def test_zero_gram_pieces_start_where_a_cap_binds(self, monkeypatch):
+        """Uniform weights until s = 21 binds the cap 5; then the cap 40 binds
+        at s = 126 and the cap 120 at s = 286."""
+        solve, starts = planner._active_set, []
+
+        def counting(m, alpha, caps, s):
+            starts.append(s)
+            return solve(m, alpha, caps, s)
+
+        monkeypatch.setattr(planner, "_active_set", counting)
+        caps = np.array([5, 40, 120, 400])
+        planner._solve_qp_batch(np.zeros((4, 4)), np.arange(1, caps.sum() + 1), caps)
+        assert starts == [1, 21, 126, 286]
+
+
 class TestProxyMulti:
     def _problem(self, gram=None, caps=(100, 100), n0=100, dim=1):
         gram = np.zeros((len(caps), len(caps))) if gram is None else np.asarray(gram)

@@ -27,12 +27,13 @@ from .families import (
     Family,
     FisherUnavailableError,
     GaussianMean,
+    InvalidParameterError,
     SoftmaxRegression,
     unit_direction,
 )
 from .planner import FeasibilityError, TransferProblem, plan_transfer, regime_curve
 from .simlab import MIN_TRIALS, sweep_n1
-from .trainer import Strategy, SuiteConfig, TrainOptions, compare_strategies
+from .trainer import RareClassError, Strategy, SuiteConfig, TrainOptions, compare_strategies
 
 __all__ = ["main", "entry_point", "ConfigError"]
 
@@ -106,6 +107,17 @@ def _number(minimum: float | None = None, strict: bool = False):
             raise ConfigError(path, f"must be {'>' if strict else '>='} {minimum}, got {value}")
         return value
     return parse
+
+
+def _sigma(value, path: str) -> float:
+    """A Gaussian scale that :class:`GaussianMean` accepts: twice its square
+    and the square's inverse are finite and nonzero."""
+    value = _number(0.0, strict=True)(value, path)
+    try:
+        GaussianMean(sigma=value)
+    except InvalidParameterError as exc:
+        raise ConfigError(path, str(exc)) from None
+    return value
 
 
 def _bool(value, path: str) -> bool:
@@ -195,7 +207,7 @@ CONFIG = _object({
     "seed": (_int(0, None), 0),
     "workers": (_int(1, MAX_WORKERS), 1),
     "family": (_family({
-        "gaussian": (GaussianMean, {"sigma": (_number(0.0, strict=True), 1.0),
+        "gaussian": (GaussianMean, {"sigma": (_sigma, 1.0),
                                     "dim": (_int(1, MAX_DIM), 1)}),
         "bernoulli": (BernoulliLogit, {}),
         "categorical": (CategoricalLogits, {"num_classes": (_int(2, MAX_DIM), 3)}),
@@ -272,8 +284,13 @@ class RunSpec:
                 raise ConfigError(f"{path}.name", f"duplicate source name {src['name']!r}")
             if ("theta" in src) == ("delta" in src):
                 raise ConfigError(path, "give exactly one of theta and delta")
-            src["theta"] = (_fit_dim(src["theta"], dim, f"{path}.theta") if "theta" in src
-                            else self.theta0 + src["delta"] * self._direction(i))
+            if "theta" in src:
+                src["theta"] = _fit_dim(src["theta"], dim, f"{path}.theta")
+                continue
+            with np.errstate(over="ignore"):
+                src["theta"] = self.theta0 + src["delta"] * self._direction(i)
+            if not np.isfinite(src["theta"]).all():
+                raise ConfigError(f"{path}.delta", "places the source at a non-finite theta")
         deltas = self.trainer.get("deltas", SuiteConfig.deltas)
         if len(self.trainer.get("pool_sizes", SuiteConfig.pool_sizes)) != len(deltas):
             raise ConfigError("trainer.pool_sizes", "must match deltas in length")
@@ -359,13 +376,18 @@ def cmd_plan(spec: RunSpec, out: Path) -> int:
     return EXIT_OK
 
 
+def _first_discrepancy(spec: RunSpec, fisher) -> float:
+    t = discrepancy(fisher, spec.theta0, spec.sources[0]["theta"])
+    if not np.isfinite(t):  # e.g. thetas so far apart that the discrepancy overflows
+        raise ConfigError("sources", f"unusable discrepancy of the first source: {t}")
+    return t
+
+
 def cmd_curve(spec: RunSpec, out: Path) -> int:
     if "t" in spec.curve:
         t = spec.curve["t"]
     elif spec.sources:
-        t = discrepancy(spec.fisher(), spec.theta0, spec.sources[0]["theta"])
-        if not np.isfinite(t):  # e.g. thetas so far apart that the discrepancy overflows
-            raise ConfigError("sources", f"unusable discrepancy of the first source: {t}")
+        t = _first_discrepancy(spec, spec.fisher())
     else:
         raise ConfigError("curve.t", "needs an explicit t when no sources are given")
     if "cap" in spec.curve:
@@ -376,7 +398,7 @@ def cmd_curve(spec: RunSpec, out: Path) -> int:
         raise ConfigError("curve.cap", "needs a cap when no sources are given")
     _check_size(min(spec.curve["grid_points"], cap + 1), "curve.grid_points", "the curve's grid")
     try:
-        curve = regime_curve(spec.n0, cap, t, spec.curve["grid_points"])
+        curve = regime_curve(spec.n0, cap, t, spec.curve["grid_points"], spec.family.dim)
     except ValueError as exc:  # a cap too large for exact float64 quantities
         raise ConfigError(cap_path, str(exc)) from None
     rows = [[int(n), v, curve.regime.value] for n, v in zip(curve.quantities, curve.values)]
@@ -396,10 +418,15 @@ def cmd_verify(spec: RunSpec, out: Path) -> int:
     _check_size((spec.n0 + cap) * width, "sources[0].cap", "a trial's draw", MAX_COUNT)
     _check_size((-(-cap // step) + 1) * spec.trials, "verify.grid_step",
                 "the (grid points x trials) KL matrix")
+    # the sweep's theory side uses the closed-form Fisher, whatever fisher_mode says
+    _first_discrepancy(spec, empirical_fisher(spec.family, spec.theta0, None, FisherMode.ANALYTIC))
     z_threshold = spec.verify["z_threshold"]
     min_pass = spec.verify["min_pass_fraction"]
-    result = sweep_n1(spec.family, spec.theta0, spec.sources[0]["theta"], spec.n0, cap, step,
-                      spec.trials, spec.seed, spec.workers)
+    try:
+        result = sweep_n1(spec.family, spec.theta0, spec.sources[0]["theta"], spec.n0, cap,
+                          step, spec.trials, spec.seed, spec.workers)
+    except InvalidParameterError as exc:  # a trial's pooled fit overflowed
+        raise ConfigError("theta0", f"a trial's pooled fit is not finite ({exc})") from None
     rows = []
     z_values = []
     for quantity, report, theory in zip(
@@ -446,7 +473,10 @@ def cmd_train(spec: RunSpec, out: Path) -> int:
                 "the per-sample score matrix")
     _check_size((min(options.step_number, pooled) + 1) * suite_cfg.num_sources,
                 "trainer.stepnumber", "the planner's proportion grid")
-    rows, runs = compare_strategies(suite_cfg, strategies, seeds, options)
+    try:
+        rows, runs = compare_strategies(suite_cfg, strategies, seeds, options)
+    except RareClassError as exc:
+        raise ConfigError("trainer.prior_scale", str(exc)) from None
 
     k = suite_cfg.num_sources
     alpha_cols = [f"alpha_{i + 1}" for i in range(k)]

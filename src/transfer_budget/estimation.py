@@ -203,22 +203,20 @@ class FisherEstimate:
     without building anything ``d x d``; only :meth:`dense` does.
     """
 
-    mode: FisherMode
-    dim: int
     factor: np.ndarray
     divisor: int = 1
 
+    @property
+    def dim(self) -> int:
+        """The parameter dimension ``d``, the factor's column count."""
+        return self.factor.shape[1]
+
     def quad_form(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        squeeze = u.ndim == 1
-        if squeeze:
-            u = u[:, None]
         if u.shape[0] != self.dim:
             raise ValueError(f"expected vectors of length {self.dim}, got {u.shape[0]}")
         v = self.factor @ u
         out = v.T @ v / self.divisor
-        out = 0.5 * (out + out.T)
-        return out[0, 0] if squeeze else out
+        return 0.5 * (out + out.T)
 
     def dense(self) -> np.ndarray:
         """Materialize the full ``d x d`` matrix (memory grows quadratically)."""
@@ -235,14 +233,14 @@ def empirical_fisher(family: Family, theta, samples,
     if mode is FisherMode.ANALYTIC:
         w, v = np.linalg.eigh(family.fisher(theta))
         root = (v * np.sqrt(np.maximum(w, 0.0))).T
-        return FisherEstimate(mode=mode, dim=family.dim, factor=root)
+        return FisherEstimate(factor=root)
     n = family.count(samples)
     if n == 0:
         raise InsufficientDataError("empirical Fisher needs at least one sample")
     scores = family.score(theta, samples)
     if mode is FisherMode.PER_SAMPLE:
-        return FisherEstimate(mode=mode, dim=family.dim, factor=scores, divisor=n)
-    return FisherEstimate(mode=mode, dim=family.dim, factor=scores.mean(axis=0, keepdims=True))
+        return FisherEstimate(factor=scores, divisor=n)
+    return FisherEstimate(factor=scores.mean(axis=0, keepdims=True))
 
 
 def offset_gram(fisher: FisherEstimate, theta0, source_params) -> np.ndarray:
@@ -261,20 +259,15 @@ def offset_gram(fisher: FisherEstimate, theta0, source_params) -> np.ndarray:
         raise ValueError("source parameter dimension mismatch")
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = np.stack([t - theta0 for t in params], axis=1)
-        return np.atleast_2d(fisher.quad_form(offsets))
+        return fisher.quad_form(offsets)
 
 
 def discrepancy(fisher: FisherEstimate, theta0, theta1) -> float:
     """Fisher-weighted squared parameter distance per dimension.
 
-    ``(theta1 - theta0)^T J (theta1 - theta0) / d``; scalar regardless of the
-    parameter dimension, and symmetric in its two arguments because J is
-    evaluated wherever ``fisher`` was built. Like :func:`offset_gram`, it
-    turns overflow into a non-finite value without a warning.
+    ``(theta1 - theta0)^T J (theta1 - theta0) / d``, the one-source
+    :func:`offset_gram` over the dimension: scalar regardless of the parameter
+    dimension, symmetric in its two arguments because J is evaluated wherever
+    ``fisher`` was built, and non-finite without a warning on overflow.
     """
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    theta1 = np.asarray(theta1, dtype=np.float64)
-    if theta0.shape != theta1.shape:
-        raise ValueError("parameter dimension mismatch")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(fisher.quad_form(theta1 - theta0)) / fisher.dim
+    return float(offset_gram(fisher, theta0, [theta1])[0, 0]) / fisher.dim

@@ -291,8 +291,13 @@ class GaussianMean(Family):
     dim: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidParameterError("sigma must be positive")
+        # the KL divides by 2 sigma**2 and the Fisher information is 1/sigma**2;
+        # a float product overflows to inf where ** would raise
+        square = float(self.sigma) * float(self.sigma)
+        if not (self.sigma > 0 and 0.0 < square and 2.0 * square < np.inf
+                and 1.0 / square < np.inf):
+            raise InvalidParameterError(
+                "sigma must be positive, with 2 sigma**2 and 1/sigma**2 finite and nonzero")
         if self.dim < 1:
             raise InvalidParameterError("dim must be >= 1")
 

@@ -127,8 +127,21 @@ class ProxyCurve:
     interior: float | None = None
 
 
-def regime_curve(n0: int, cap: int, t: float, grid_points: int) -> ProxyCurve:
-    """Tabulate the single-source proxy over an even grid on ``[0, cap]``.
+def _single_source_curve(n0: int, cap: int, t: float, quantities, dim: int) -> ProxyCurve:
+    """The single-source proxy at ``quantities``, labelled with
+    :func:`optimal_single`'s regime and stationary point."""
+    plan = optimal_single(n0, cap, t)
+    return ProxyCurve(
+        quantities=quantities,
+        values=proxy_value(n0, quantities, t, dim),
+        regime=plan.regime,
+        interior=plan.interior,
+    )
+
+
+def regime_curve(n0: int, cap: int, t: float, grid_points: int, dim: int = 1) -> ProxyCurve:
+    """Tabulate the single-source proxy of a ``dim``-dimensional family over an
+    even grid on ``[0, cap]``.
 
     More than ``cap + 1`` points repeat quantities, so at most that many are
     laid out: the grid is the same, with no allocation beyond it.
@@ -140,13 +153,7 @@ def regime_curve(n0: int, cap: int, t: float, grid_points: int) -> ProxyCurve:
     points = min(grid_points, cap + 1)
     grid = np.floor(np.linspace(0.0, cap, points) + 0.5).astype(np.int64)
     grid = np.unique(np.minimum(grid, cap))  # rounding up must not pass the cap
-    plan = optimal_single(n0, cap, t)
-    return ProxyCurve(
-        quantities=grid,
-        values=proxy_value(n0, grid, t),
-        regime=plan.regime,
-        interior=plan.interior,
-    )
+    return _single_source_curve(n0, cap, t, grid, dim)
 
 
 @dataclass
@@ -394,26 +401,20 @@ def solve_alpha_qp(gram, s: int, caps) -> np.ndarray:
 def _apportion(s: int, alpha: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Integerize ``s * alpha`` by largest fractional part, respecting caps.
 
-    Floors first, then hands the remaining units one at a time to the largest
-    fractional parts that still have cap headroom, lower index on ties.
+    Floors first, then hands the remaining units out in rounds: each round
+    adds one to the largest fractional parts that still have cap headroom,
+    lower index on ties, until none remain.
     """
     raw = s * alpha
     n = np.minimum(np.floor(raw).astype(np.int64), caps)
     remaining = s - int(n.sum())
-    if remaining > 0:
-        frac = raw - n
-        order = np.lexsort((np.arange(alpha.shape[0]), -frac))
-        while remaining > 0:
-            progressed = False
-            for i in order:
-                if n[i] < caps[i]:
-                    n[i] += 1
-                    remaining -= 1
-                    progressed = True
-                    if remaining == 0:
-                        break
-            if not progressed:
-                raise FeasibilityError("caps cannot absorb the planned total quantity")
+    order = np.lexsort((np.arange(alpha.shape[0]), n - raw))
+    while remaining > 0:
+        takers = order[n[order] < caps[order]][:remaining]
+        if takers.size == 0:
+            raise FeasibilityError("caps cannot absorb the planned total quantity")
+        n[takers] += 1
+        remaining -= takers.size
     return n
 
 

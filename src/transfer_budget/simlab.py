@@ -40,9 +40,9 @@ from .families import Family, UniformBlock, open_uniform
 from .planner import (
     ProxyCurve,
     TransferProblem,
+    _single_source_curve,
     optimal_single,
     plan_transfer,
-    proxy_value,
 )
 
 __all__ = [
@@ -82,7 +82,9 @@ def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: i
 
     Trial ``r`` draws ``counts`` (target first, then the sources in order)
     from ``default_rng([seed, r])``; row ``p`` fits the first ``pooled[p]``
-    of those observations.
+    of those observations. Overflow is silent: a pooled sum that overflows
+    leaves a non-finite fit, which the KL's parameter check refuses with
+    ``InvalidParameterError``.
     """
     rows = hi - lo
     u = np.empty((rows, sum(counts) * family.draw_width))
@@ -97,9 +99,10 @@ def _one_block(family: Family, thetas, counts, pooled, seed: int, lo: int, hi: i
     del block
     drawn = np.concatenate(drawn, axis=1)
     kls = np.empty((len(pooled), rows))
-    for p, m in enumerate(pooled):
-        fit = pooled_mle(family, PooledData(target=drawn[:, :m], batched=True))
-        kls[p] = family.kl(thetas[0], fit.theta)
+    with np.errstate(over="ignore"):
+        for p, m in enumerate(pooled):
+            fit = pooled_mle(family, PooledData(target=drawn[:, :m], batched=True))
+            kls[p] = family.kl(thetas[0], fit.theta)
     return kls
 
 
@@ -214,20 +217,13 @@ def sweep_n1(family: Family, theta0, theta1, n0: int, cap: int, grid_step: int,
                       [int(n0) + n for n in grid], trials, seed, workers)
     reports = [_report(family, row, n0, (n,), seed) for row, n in zip(kls, grid)]
     t = discrepancy(fisher, theta0, theta1)
-    plan = optimal_single(n0, cap, t)
-    curve = ProxyCurve(
-        quantities=quantities,
-        values=np.asarray(proxy_value(n0, quantities, t, family.dim)),
-        regime=plan.regime,
-        interior=plan.interior,
-    )
     means = np.array([r.mean_kl for r in reports])
     return SweepResult(
         quantities=quantities,
         reports=reports,
         empirical_argmin=int(quantities[int(np.argmin(means))]),
-        theoretical_argmin=plan.n_star,
-        theoretical_curve=curve,
+        theoretical_argmin=optimal_single(n0, cap, t).n_star,
+        theoretical_curve=_single_source_curve(n0, cap, t, quantities, family.dim),
     )
 
 

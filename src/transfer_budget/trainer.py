@@ -21,6 +21,7 @@ from .planner import TransferPlan, TransferProblem, plan_transfer
 
 __all__ = [
     "Strategy",
+    "RareClassError",
     "SuiteConfig",
     "TaskSuite",
     "TrainOptions",
@@ -42,6 +43,10 @@ _TAG_TEST = 15
 _TAG_POOL = 16
 _TAG_INIT = 21
 _TAG_RESAMPLE = 22
+
+
+class RareClassError(RuntimeError):
+    """A class of the drawn target parameter is too rare to fill the shots."""
 
 
 class Strategy(Enum):
@@ -90,7 +95,6 @@ class TaskSuite:
     family: SoftmaxRegression
     theta_target: np.ndarray
     theta_sources: list[np.ndarray]
-    deltas: tuple
     train: tuple[np.ndarray, np.ndarray]
     val: tuple[np.ndarray, np.ndarray]
     test: tuple[np.ndarray, np.ndarray]
@@ -127,7 +131,7 @@ def _draw_per_class(family, theta, rng, per_class: int, max_batches: int = 200):
             z_all = np.concatenate(feats, axis=0)[order]
             y_all = np.concatenate(labels)[order]
             return z_all, y_all
-    raise RuntimeError("a class is too rare under the drawn parameters to fill the shots")
+    raise RareClassError("a class is too rare under the drawn parameters to fill the shots")
 
 
 def generate_suite(config: SuiteConfig, seed: int) -> TaskSuite:
@@ -161,7 +165,6 @@ def generate_suite(config: SuiteConfig, seed: int) -> TaskSuite:
         family=family,
         theta_target=theta0,
         theta_sources=thetas,
-        deltas=tuple(config.deltas),
         train=train,
         val=val,
         test=test,

@@ -196,6 +196,79 @@ class TestVerify:
         assert len(first_words) == len(seeds)
 
 
+class TestTheorySide:
+    """``curve``, ``verify`` and ``plan`` report one proxy, of the family's dimension."""
+
+    @pytest.mark.parametrize("family", [{"kind": "gaussian", "dim": 3},
+                                        {"kind": "categorical", "num_classes": 4}],
+                             ids=["gaussian-3d", "categorical-4"])
+    def test_curve_proxy_is_the_verify_theory_column(self, tmp_path, family):
+        path = write_config(tmp_path, {
+            "seed": 5, "family": family, "n0": 80, "trials": 100,
+            "sources": [{"name": "s", "delta": 0.2, "cap": 100}],
+            "curve": {"grid_points": 101}, "verify": {"grid_step": 10},
+        })
+        for command in ("plan", "curve"):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == EXIT_OK
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "verify")]) in (
+            EXIT_OK, EXIT_GATE)
+        _, curve = read_rows(tmp_path / "curve" / "curve.csv")
+        _, verify = read_rows(tmp_path / "verify" / "verify.csv")
+        _, plan = read_rows(tmp_path / "plan" / "plan.csv")
+        proxy = {row[0]: row[1] for row in curve}
+        theory = {row[0]: row[3] for row in verify}
+        assert len(theory) == 11 and set(theory) <= set(proxy)
+        assert {n: proxy[n] for n in theory} == theory
+        s_star, predicted = plan[-1][1], plan[-1][3]  # the footer: s_star, its proxy
+        assert proxy[s_star] == predicted
+
+
+class TestRandomStreams:
+    """The randomness contract: the streams one run draws are pairwise distinct."""
+
+    @staticmethod
+    def streams(monkeypatch, argv) -> tuple[set, list]:
+        """The distinct seeds of one run, as in the README table, and the first
+        raw word of each one's stream."""
+        make, seeds = np.random.default_rng, []
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        assert main(argv) == EXIT_OK
+        monkeypatch.undo()
+        distinct = {json.dumps(np.asarray(seed).tolist()): seed for seed in seeds}
+        return set(distinct), [int(make(seed).bit_generator.random_raw())
+                               for seed in distinct.values()]
+
+    @pytest.mark.parametrize("command", ["plan", "curve"])
+    def test_plan_and_curve_streams_are_distinct(self, tmp_path, monkeypatch, command):
+        path = write_config(tmp_path, {
+            "seed": 4, "family": {"kind": "softmax", "feature_dim": 3, "num_classes": 3},
+            "n0": 50, "calibration_samples": 2000,
+            "sources": [{"name": "a", "delta": 0.3, "cap": 100},
+                        {"name": "b", "delta": 1.0, "cap": 100}],
+        })
+        seeds, words = self.streams(monkeypatch, [command, "--config", path,
+                                                  "--out", str(tmp_path / "o")])
+        assert seeds == {"[4, 31, 1]", "[4, 31, 2]", "[4, 32]"}  # directions, calibration
+        assert len(set(words)) == len(seeds)
+
+    def test_train_streams_are_distinct(self, tmp_path, monkeypatch):
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["trainer"]["seeds"] = [1, 2]
+        path = write_config(tmp_path, cfg)
+        seeds, words = self.streams(monkeypatch, ["train", "--config", path,
+                                                  "--out", str(tmp_path / "o")])
+        # per seed: theta, directions, train, test, two pools, init, and the
+        # resampling streams of dynamic (5) and target_only (0)
+        assert seeds == {f"[{s}, {tail}]" for s in (1, 2) for tail in (
+            11, 12, 13, 15, "16, 0", "16, 1", 21, "22, 5", "22, 0")}
+        assert len(set(words)) == len(seeds)
+
+
 TRAIN_CFG = {
     "seed": 2,
     "trainer": {
@@ -338,7 +411,34 @@ class TestBadConfigs:
          "sources[0].delta"),
         # finite thetas whose discrepancy overflows
         ("curve", dict(CURVE, sources=[{"name": "s", "theta": [1e308], "cap": 5}]), "sources"),
-    ], ids=["t-nan", "t-inf", "sigma-inf", "learning-rate-nan", "delta-inf", "overflowing-t"])
+        ("verify", {"trials": 100, "sources": [{"name": "a", "theta": 1e200, "cap": 10}]},
+         "sources"),
+        # a sigma whose square overflows or whose inverse square does
+        ("verify", {"trials": 100, "family": {"kind": "gaussian", "sigma": 1e155},
+                    "sources": [{"name": "a", "delta": 1.0, "cap": 10}]}, "family.sigma"),
+        ("plan", {"family": {"kind": "gaussian", "sigma": 1e155},
+                  "sources": [{"name": "a", "delta": 1.0, "cap": 10}]}, "family.sigma"),
+        ("curve", {"family": {"kind": "gaussian", "sigma": 1e155},
+                   "sources": [{"name": "a", "delta": 1.0, "cap": 10}]}, "family.sigma"),
+        ("verify", {"trials": 100, "family": {"kind": "gaussian", "sigma": 1e-160},
+                    "sources": [{"name": "a", "delta": 1.0, "cap": 10}]}, "family.sigma"),
+        # 2 sigma**2, the KL's divisor, overflows: every KL would read 0
+        ("verify", {"trials": 100, "family": {"kind": "gaussian", "sigma": 1e154},
+                    "sources": [{"name": "a", "delta": 1.0, "cap": 10}]}, "family.sigma"),
+        # finite fields that resolve to a non-finite source theta, or pooled mean
+        ("verify", {"trials": 100, "theta0": 1e308,
+                    "sources": [{"name": "a", "delta": 1e308, "cap": 10}]}, "sources[0].delta"),
+        ("verify", {"trials": 100, "theta0": 1e308,
+                    "sources": [{"name": "a", "theta": 1e308, "cap": 10}]}, "theta0"),
+        # a target class too rare under the drawn parameter to fill the shots
+        ("train", {"seed": 1, "trainer": {
+            "prior_scale": 1000, "num_classes": 8, "feature_dim": 2, "shots": 5, "epochs": 1,
+            "pool_sizes": [50, 50, 50], "test_size": 20, "val_size": 20,
+            "strategies": ["target_only"]}}, "trainer.prior_scale"),
+    ], ids=["t-nan", "t-inf", "sigma-inf", "learning-rate-nan", "delta-inf", "overflowing-t",
+            "verify-overflowing-t", "verify-sigma-huge", "plan-sigma-huge", "curve-sigma-huge",
+            "verify-sigma-tiny", "verify-kl-divisor-overflows", "verify-delta-to-inf",
+            "verify-pooled-mean-overflows", "train-rare-class"])
     def test_non_finite_numbers_report_path(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings():

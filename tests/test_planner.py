@@ -120,6 +120,14 @@ class TestRegimeCurve:
         assert (np.diff(curve.quantities) > 0).all()
         assert np.isfinite(curve.values).all() and (curve.values > 0).all()
 
+    def test_values_are_the_proxy_of_the_given_dimension(self):
+        for dim in (1, 3, 15):
+            curve = regime_curve(80, 400, 0.01, 41, dim)
+            np.testing.assert_array_equal(curve.values,
+                                          proxy_value(80, curve.quantities, 0.01, dim))
+        np.testing.assert_array_equal(regime_curve(80, 400, 0.01, 41).values,
+                                      regime_curve(80, 400, 0.01, 41, 1).values)
+
 
 def _random_capped_instance(rng, k=3):
     a = rng.normal(size=(k, k))
@@ -766,3 +774,38 @@ class TestApportionment:
 
         n = _apportion(1, np.array([0.5, 0.5]), np.array([10, 10]))
         np.testing.assert_array_equal(n, [1, 0])
+
+    def test_rounds_match_the_one_unit_at_a_time_loop(self):
+        """Each round of leftover units is one array step; the reference hands
+        the units out one at a time, in the same order."""
+        from transfer_budget.planner import _apportion
+
+        def one_at_a_time(s, alpha, caps):
+            raw = s * alpha
+            n = np.minimum(np.floor(raw).astype(np.int64), caps)
+            remaining = s - int(n.sum())
+            order = np.lexsort((np.arange(alpha.shape[0]), -(raw - n)))
+            while remaining > 0:
+                progressed = False
+                for i in order:
+                    if remaining > 0 and n[i] < caps[i]:
+                        n[i] += 1
+                        remaining -= 1
+                        progressed = True
+                if not progressed:
+                    raise FeasibilityError("caps cannot absorb the planned total quantity")
+            return n
+
+        rng = np.random.default_rng(48)
+        for _ in range(3000):
+            k = int(rng.integers(1, 8))
+            caps = rng.integers(1, 31, k)
+            alpha = rng.dirichlet(np.ones(k)) if rng.random() < 0.8 else rng.random(k)
+            s = int(rng.integers(1, caps.sum() + 3))
+            try:
+                expected = one_at_a_time(s, alpha, caps)
+            except FeasibilityError:
+                with pytest.raises(FeasibilityError):
+                    _apportion(s, alpha, caps)
+                continue
+            np.testing.assert_array_equal(_apportion(s, alpha, caps), expected)
